@@ -14,11 +14,8 @@ from .bath import (
     PhaseDistribution,
     PhaseProfile,
     SpectralDensity,
-    default_omega_max,
     phase_distribution_eval,
-    phase_profile_eval,
     profile_from_config,
-    spectral_density_eval,
     spectral_total_weight,
 )
 from .dephasing import (
@@ -32,18 +29,14 @@ from .dephasing import (
     beta_integrand,
     beta_quadrature,
     decoherence_factor,
-    decoherence_ohmic_closed,
-    decoherence_supra_closed,
     find_dip,
 )
 from .geomphase import (
-    BlochSnapshot,
     GPResult,
     LambdaSweepResult,
     QubitState,
     SurfaceResult,
     bloch_angle,
-    bloch_snapshot,
     eigenvalue_plus,
     first_order_coefficient,
     first_order_correction,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .numerics import ConvergenceError, integrate_finite
 
@@ -24,15 +23,13 @@ __all__ = [
     "PhaseProfile",
     "PhaseDistribution",
     "DeltaLimitError",
-    "spectral_density_eval",
     "spectral_total_weight",
-    "phase_profile_eval",
     "phase_distribution_eval",
     "profile_from_config",
-    "default_omega_max",
 ]
 
 _PROFILE_KINDS = ("linear", "quadratic", "custom")
+_MAX_OHMICITY = 170
 
 
 class DeltaLimitError(ValueError):
@@ -46,7 +43,8 @@ class BathConfig:
     gamma: overall coupling strength
     cutoff: spectral cutoff frequency (Lambda)
     diffusion: phase diffusion coefficient D
-    ohmicity: spectral exponent n (1 = ohmic, 3 = supraohmic)
+    ohmicity: spectral exponent n (1 = ohmic, 3 = supraohmic), at most 170,
+        the largest n whose n! (total spectral weight / 4 gamma) is a finite double
     phase_lambda: delay parameter of the initial phase profile
     omega: drive frequency of the quasi-cyclic evolution
     phase_profile: "linear", "quadratic" or "custom"
@@ -71,8 +69,8 @@ class BathConfig:
             raise ValueError(f"phase_lambda must be finite and >= 0, got {self.phase_lambda}")
         if isinstance(self.ohmicity, bool) or not isinstance(self.ohmicity, (int, np.integer)):
             raise ValueError(f"ohmicity must be an integer, got {self.ohmicity!r}")
-        if self.ohmicity < 1:
-            raise ValueError(f"ohmicity must be >= 1, got {self.ohmicity}")
+        if not 1 <= self.ohmicity <= _MAX_OHMICITY:
+            raise ValueError(f"ohmicity must lie in [1, {_MAX_OHMICITY}], got {self.ohmicity}")
         if not (math.isfinite(self.omega) and self.omega > 0):
             raise ValueError(f"omega must be finite and > 0, got {self.omega}")
         if self.phase_profile not in _PROFILE_KINDS:
@@ -85,7 +83,7 @@ class SpectralDensity:
     """Spectral weight I(omega) of the bath, defined for omega >= 0.
 
     Two flavors: the power-law family
-        I(w) = (4 gamma / cutoff^2) * w^n / cutoff^(n-1) * exp(-w / cutoff)
+        I(w) = (4 gamma / cutoff) * (w / cutoff)^n * exp(-w / cutoff)
     and a tabulated density interpolated monotonically (shape-preserving,
     so nonnegative data stays nonnegative) and zero outside the table.
     """
@@ -100,6 +98,8 @@ class SpectralDensity:
         self.table_values = table_values
         self._interp = None
         if kind == "table":
+            # lazy: scipy.interpolate is most of the import cost; only tables use it
+            from scipy.interpolate import PchipInterpolator
             self._interp = PchipInterpolator(table_omega, table_values, extrapolate=False)
 
     @classmethod
@@ -131,20 +131,14 @@ class SpectralDensity:
         if np.any(w < 0):
             raise ValueError("spectral density is defined for omega >= 0 only")
         if self.kind == "power-law":
-            n = self.ohmicity
-            out = (4.0 * self.gamma / self.cutoff**2) * w**n / self.cutoff ** (n - 1) \
-                * np.exp(-w / self.cutoff)
+            x = w / self.cutoff
+            out = (4.0 * self.gamma / self.cutoff) * x**self.ohmicity * np.exp(-x)
         else:
             out = self._interp(w)
             out = np.where(np.isnan(out), 0.0, out)  # zero outside the table
         if np.isscalar(omega) or np.ndim(omega) == 0:
             return float(out)
         return out
-
-
-def spectral_density_eval(density: SpectralDensity, omega):
-    """I(omega); raises ValueError for negative frequencies."""
-    return density(omega)
 
 
 def spectral_total_weight(density: SpectralDensity, tol: float = 1e-10) -> float:
@@ -217,10 +211,6 @@ class PhaseProfile:
         return out
 
 
-def phase_profile_eval(profile: PhaseProfile, omega):
-    return profile(omega)
-
-
 def profile_from_config(config: BathConfig,
                         custom: Optional[Callable] = None) -> PhaseProfile:
     """Build the profile named by config.phase_profile.
@@ -281,11 +271,12 @@ def phase_distribution_eval(dist: PhaseDistribution, x, t: float):
             "many terms and the result is close to a delta",
             stacklevel=2,
         )
-    m_needed = int(math.ceil(math.sqrt(math.log(1.0 / dist.series_eps) / dt_prod)))
-    m_terms = min(max(m_needed, 1), dist.max_terms)
+    # may be inf when D*t is subnormal, so it is capped before rounding up
+    m_needed = math.sqrt(math.log(1.0 / dist.series_eps) / dt_prod)
+    m_terms = max(math.ceil(min(m_needed, dist.max_terms)), 1)
     if m_needed > dist.max_terms:
         warnings.warn(
-            f"series truncated at {dist.max_terms} terms ({m_needed} needed "
+            f"series truncated at {dist.max_terms} terms ({m_needed:.0f} needed "
             f"for eps={dist.series_eps:.1e})",
             stacklevel=2,
         )
@@ -299,12 +290,3 @@ def phase_distribution_eval(dist: PhaseDistribution, x, t: float):
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out
-
-
-def default_omega_max(config: BathConfig) -> float:
-    """Frequency beyond which the spectral integrand is negligible.
-
-    exp(-w/cutoff) at w = 60 * cutoff is ~1e-26, far below every
-    tolerance used here; higher ohmicity pushes the tail out a bit.
-    """
-    return config.cutoff * max(60.0, 40.0 + 10.0 * config.ohmicity)

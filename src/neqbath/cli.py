@@ -126,6 +126,8 @@ def _check_grid(grid) -> tuple:
         raise ConfigError(
             f"grid needs stop > start and step > 0, got {grid!r}"
         )
+    if (stop - start) / step >= 1e6:
+        raise ConfigError(f"grid {grid!r} has more than 1,000,000 points")
     return (start, stop, step)
 
 
@@ -640,7 +642,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:  # the library rejects bad input with ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

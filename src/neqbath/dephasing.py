@@ -22,8 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bath import BathConfig, PhaseProfile, SpectralDensity, default_omega_max, \
-    profile_from_config
+from .bath import BathConfig, PhaseProfile, SpectralDensity, profile_from_config
 from .numerics import ConvergenceError, QuadratureResult, integrate_semi_infinite
 
 __all__ = [
@@ -35,8 +34,6 @@ __all__ = [
     "beta_integrand",
     "beta_quadrature",
     "beta_closed",
-    "decoherence_ohmic_closed",
-    "decoherence_supra_closed",
     "decoherence_factor",
     "asymptotic_factor",
     "find_dip",
@@ -49,6 +46,9 @@ METHOD_MC = "monte-carlo"
 # below this, the oscillatory term in the bracket cannot affect results
 # at the tolerances used anywhere in the package
 _OSC_AMP_FLOOR = 1e-14
+
+# share of the tolerance left to the truncated frequency tail
+_TAIL_SHARE = 0.1
 
 
 @dataclass
@@ -140,73 +140,87 @@ def beta_closed(t, config: BathConfig):
     return beta
 
 
-def decoherence_ohmic_closed(t, config: BathConfig):
-    """|F(t)| for the ohmic bath (closed form, linear profile only)."""
-    if config.ohmicity != 1:
-        raise ValueError(f"ohmic closed form needs ohmicity 1, got {config.ohmicity}")
-    return np.exp(-beta_closed(t, config))
-
-
-def decoherence_supra_closed(t, config: BathConfig):
-    """|F(t)| for the supraohmic bath (closed form, linear profile only)."""
-    if config.ohmicity != 3:
-        raise ValueError(f"supraohmic closed form needs ohmicity 3, got {config.ohmicity}")
-    return np.exp(-beta_closed(t, config))
-
-
 def _oscillation_controls(t: float, config: BathConfig, profile: PhaseProfile):
-    """(period_hint, width_cap) for the frequency integral at time t.
+    """(period_hint, chirp) for the frequency integral at time t.
 
     The integrand oscillates as cos(2 (w t + theta(w))) with local rate
-    2 |t + theta'(w)|.  Linear profiles have constant rate 2 |t - lam|;
-    quadratic ones chirp, so panel widths shrink with frequency.  Custom
-    profiles only get the t-based hint.
+    2 |t + theta'(w)|: constant 2 |t - lam| for linear profiles, at most
+    2 t + 4 lam w for quadratic ones, whose panels thus shrink with
+    frequency.  Custom profiles only get the t-based hint.
     """
     amp = math.exp(-2.0 * config.diffusion * t) - math.exp(-4.0 * config.diffusion * t)
     if t <= 0 or amp < _OSC_AMP_FLOOR:
-        return None, None
+        return None, 0.0
     if profile.kind == "linear":
         rate = 2.0 * abs(t - profile.lam)
-        hint = math.pi / (0.5 * rate) if rate > 1e-12 else None
-        return hint, None
+        return (2.0 * math.pi / rate if rate > 1e-12 else None), 0.0
     if profile.kind == "quadratic":
-        lam = profile.lam
-        hint = math.pi / t
+        return math.pi / t, 4.0 * profile.lam
+    return math.pi / t, 0.0
 
-        def cap(a):
-            return math.pi / (2.0 * (t + 2.0 * lam * max(float(a), 0.0)) + 1e-300)
 
-        return hint, (cap if lam > 0 else None)
-    return math.pi / t, None
+def _log_upper_gamma(n: int, x: float) -> float:
+    """log Gamma(n + 1, x) = log(n! e^-x sum_{k<=n} x^k / k!), overflow-free."""
+    terms = [k * math.log(x) - math.lgamma(k + 1) for k in range(n + 1)]
+    top = max(terms)
+    return math.lgamma(n + 1) - x + top + math.log(sum(math.exp(v - top) for v in terms))
+
+
+def _tail_cutoff(n: int, log_target: float) -> float:
+    """Smallest x >= 1 with log Gamma(n + 1, x) <= log_target, by Newton.
+
+    log Gamma(n + 1, x) is concave and decreasing: from a start left of
+    the root (n! e^-x is a lower bound) or past the mode, the iterates
+    overshoot once, then fall onto the root from above.
+    """
+    x = max(float(n), math.lgamma(n + 1) - log_target)
+    for _ in range(100):
+        log_q = _log_upper_gamma(n, x)
+        # excess over the target divided by |d log Gamma / dx|
+        step = (log_q - log_target) * math.exp(log_q + x - n * math.log(x))
+        x += step
+        if x <= 1.0 or -1e-9 * x <= step <= 0.0:
+            break
+    return max(x, 1.0)
 
 
 def beta_quadrature(t: float, config: BathConfig,
                     profile: Optional[PhaseProfile] = None,
                     tol: float = 1e-10,
                     omega_max: Optional[float] = None) -> QuadratureResult:
-    """beta(t) by adaptive quadrature over frequency.
+    """beta(t) by adaptive quadrature over frequency, any profile and ohmicity.
 
-    Works for any profile and ohmicity.  Raises ConvergenceError with the
-    best estimate attached if the panel budget runs out before reaching
-    the absolute tolerance.
+    The bracket is at most 1 - exp(-4 D t), so the tail past W is at
+    most gamma Gamma(n + 1, W / cutoff) (1 - exp(-4 D t)).  Unless
+    omega_max fixes it, W is the smallest value (>= cutoff) that puts
+    this bound at a tenth of tol.  The error is the quadrature error
+    plus the bound; ConvergenceError, with the best estimate attached,
+    if it misses tol or the integrand overflows.
     """
     if profile is None:
         profile = profile_from_config(config)
     if t < 0:
         raise ValueError("t must be >= 0")
-    if t == 0.0 or config.diffusion == 0.0:
-        # bracket vanishes identically
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if config.gamma == 0.0 or config.diffusion * t == 0.0:
+        # the integrand vanishes identically
         return QuadratureResult(value=0.0, error=0.0, subdivisions=0, converged=True)
+    n = config.ohmicity
+    log_scale = math.log(config.gamma) + math.log(-math.expm1(-4.0 * config.diffusion * t))
     if omega_max is None:
-        omega_max = default_omega_max(config)
-    hint, cap = _oscillation_controls(t, config, profile)
-    res = integrate_semi_infinite(
-        lambda w: beta_integrand(w, t, config, profile),
-        upper=omega_max,
-        tol=tol,
-        period_hint=hint,
-        width_cap=cap,
-    )
+        log_target = math.log(_TAIL_SHARE) + math.log(tol) - log_scale
+        omega_max = config.cutoff * _tail_cutoff(n, log_target)
+    tail = math.exp(log_scale + _log_upper_gamma(n, omega_max / config.cutoff))
+    hint, chirp = _oscillation_controls(t, config, profile)
+    try:
+        res = integrate_semi_infinite(
+            lambda w: beta_integrand(w, t, config, profile), upper=omega_max,
+            tol=(1.0 - _TAIL_SHARE) * tol, period_hint=hint, chirp=chirp)
+    except ValueError as exc:  # the integrand overflowed
+        raise ConvergenceError(f"beta({t}) quadrature failed: {exc}") from exc
+    error = res.error + tail
+    res = dataclasses.replace(res, error=error, converged=error <= tol)
     if not res.converged:
         raise ConvergenceError(
             f"beta({t}) quadrature stalled at error {res.error:.3e} "

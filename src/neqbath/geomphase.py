@@ -31,13 +31,11 @@ from .numerics import ConvergenceError, integrate_finite
 
 __all__ = [
     "QubitState",
-    "BlochSnapshot",
     "GPResult",
     "SurfaceResult",
     "LambdaSweepResult",
     "eigenvalue_plus",
     "bloch_angle",
-    "bloch_snapshot",
     "geometric_phase",
     "unitary_phase",
     "first_order_coefficient",
@@ -58,15 +56,6 @@ class QubitState:
     def __post_init__(self):
         if not (math.isfinite(self.theta0) and 0.0 <= self.theta0 <= math.pi):
             raise ValueError(f"theta0 must lie in [0, pi], got {self.theta0}")
-
-
-@dataclass(frozen=True)
-class BlochSnapshot:
-    """Instantaneous eigen-direction data at one value of F."""
-
-    eps_plus: float
-    cos_theta_plus: float
-    sin_theta_plus: float
 
 
 @dataclass(frozen=True)
@@ -176,13 +165,6 @@ def bloch_angle(factor, state: Union[QubitState, float]):
     if np.isscalar(factor) or np.ndim(factor) == 0:
         return float(cosp), float(sinp)
     return cosp, sinp
-
-
-def bloch_snapshot(factor: float, state: Union[QubitState, float]) -> BlochSnapshot:
-    eps = eigenvalue_plus(factor, state)
-    cosp, sinp = bloch_angle(factor, state)
-    return BlochSnapshot(eps_plus=float(eps), cos_theta_plus=float(cosp),
-                         sin_theta_plus=float(sinp))
 
 
 def unitary_phase(state: Union[QubitState, float]) -> float:
@@ -306,11 +288,12 @@ def perturbative_correction(config: BathConfig,
     theta0 = _theta0_of(state)
     d = config.diffusion
     lam = config.phase_lambda
+    c = config.cutoff  # divided out, not raised: float ** overflows, c**2 can reach 0
     if config.ohmicity == 1:
-        coeff = math.pi + config.omega * d * math.exp(-2.0 * d * lam) / config.cutoff**2
+        coeff = math.pi + config.omega * d * math.exp(-2.0 * d * lam) / c / c
     elif config.ohmicity == 3:
-        coeff = 6.0 * math.pi + config.omega * d**3 * math.exp(-2.0 * d * lam) \
-            / (4.0 * config.cutoff**4)
+        coeff = 6.0 * math.pi + config.omega * d * d * d * math.exp(-2.0 * d * lam) \
+            / 4.0 / c / c / c / c
     else:
         raise ValueError(
             f"no first-order coefficient for ohmicity {config.ohmicity}; "

@@ -7,6 +7,7 @@ dependence: identical inputs give bitwise-identical outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -157,24 +158,47 @@ def integrate_finite(
     return _adapt(f, edges[:-1], edges[1:], tol, max_panels)
 
 
+def _initial_edges(upper: float, period_hint: Optional[float], chirp: float) -> np.ndarray:
+    """Panel edges on [0, upper] for local angular frequency k0 + chirp w.
+
+    Panels are w0 = min(upper / 64, period_hint / 2) wide while half a
+    local period, pi / k(a) at the left edge a, exceeds w0; then pi apart
+    in the phase k0 w + chirp w^2 / 2 while that cap exceeds the floor
+    upper / 8192; then floor-wide, which bounds their number.
+    """
+    floor = upper / _MAX_INITIAL_PANELS
+    k0 = 2.0 * math.pi / period_hint if period_hint is not None and period_hint > 0 else 0.0
+    w0 = max(min(upper / 64.0, math.pi / k0 if k0 else upper), floor)
+    a1 = a2 = upper
+    if chirp > 0:
+        a1 = min(max((math.pi / w0 - k0) / chirp, 0.0), upper)
+        a2 = min(max((math.pi / floor - k0) / chirp, a1), upper)
+    p1 = a1 * (k0 + 0.5 * chirp * a1)
+    p2 = a2 * (k0 + 0.5 * chirp * a2)
+    phase = p1 + math.pi * np.arange(math.ceil((p2 - p1) / math.pi))
+    return np.unique(np.concatenate([
+        w0 * np.arange(math.ceil(a1 / w0)),
+        # root of chirp w^2 / 2 + k0 w = phase without cancellation
+        2.0 * phase / (k0 + np.sqrt(k0 * k0 + 2.0 * chirp * phase)),
+        a2 + floor * np.arange(math.ceil((upper - a2) / floor)),
+        [upper],
+    ]))
+
+
 def integrate_semi_infinite(
     f: Callable,
     upper: float,
     tol: float = 1e-10,
     period_hint: Optional[float] = None,
-    width_cap: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    chirp: float = 0.0,
     max_panels: int = 10_000,
 ) -> QuadratureResult:
     """Integral of f over [0, upper], tuned for oscillatory tails.
 
-    upper: truncation point; the caller guarantees the tail beyond it is
-        below the tolerance (exponential cutoffs make that easy).
-    period_hint: shortest oscillation period in the integrand, if any.
-        Initial panels are kept at or below half this width so the
-        error estimator sees the oscillation.
-    width_cap: optional callable giving a max panel width as a function
-        of the left edge, for chirped integrands whose local period
-        shrinks with the variable.
+    upper: truncation point; the error covers [0, upper] only, so a
+        caller truncating an infinite range adds its own tail bound.
+    period_hint, chirp: f oscillates with period period_hint at 0 and its angular
+        frequency grows at rate chirp; initial panels resolve that (_initial_edges).
     max_panels: refinement budget.  The initial partition is set by the
         oscillation controls and may already exceed it; the budget only
         stops further splitting.
@@ -183,18 +207,7 @@ def integrate_semi_infinite(
         raise ValueError("upper must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    w0 = upper / 64.0
-    if period_hint is not None and period_hint > 0:
-        w0 = min(w0, period_hint / 2.0)
-    w0 = max(w0, upper / _MAX_INITIAL_PANELS)
-    edges = [0.0]
-    while edges[-1] < upper and len(edges) <= _MAX_INITIAL_PANELS:
-        w = w0
-        if width_cap is not None:
-            w = min(w, float(width_cap(edges[-1])))
-        w = max(w, upper / _MAX_INITIAL_PANELS)  # cap the initial count
-        edges.append(min(edges[-1] + w, upper))
-    edges = np.asarray(edges)
+    edges = _initial_edges(upper, period_hint, chirp)
     return _adapt(f, edges[:-1], edges[1:], tol, max_panels)
 
 

@@ -12,11 +12,8 @@ from neqbath.bath import (
     PhaseDistribution,
     PhaseProfile,
     SpectralDensity,
-    default_omega_max,
     phase_distribution_eval,
-    phase_profile_eval,
     profile_from_config,
-    spectral_density_eval,
     spectral_total_weight,
 )
 from neqbath.numerics import ConvergenceError, finite_difference_curvature, \
@@ -46,6 +43,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             make_config(**{field: value})
 
+    def test_ohmicity_cap(self):
+        # 170! is the largest factorial a double holds
+        assert make_config(ohmicity=170).ohmicity == 170
+        with pytest.raises(ValueError, match="170"):
+            make_config(ohmicity=171)
+
     def test_bad_ohmicity(self):
         with pytest.raises(ValueError, match="ohmicity"):
             make_config(ohmicity=0)
@@ -63,8 +66,13 @@ class TestSpectralDensity:
     def test_ohmic_value_at_cutoff(self):
         # (4 * 1 / 1) * 1 * e^-1 at w = cutoff = 1
         sd = SpectralDensity.power_law(gamma=1.0, cutoff=1.0, ohmicity=1)
-        assert spectral_density_eval(sd, 1.0) == pytest.approx(
+        assert sd(1.0) == pytest.approx(
             4.0 * math.exp(-1.0), rel=1e-15)
+
+    def test_extreme_cutoff_does_not_overflow(self):
+        # cutoff**2 used to raise OverflowError here
+        sd = SpectralDensity.power_law(gamma=1.0, cutoff=1e200, ohmicity=3)
+        assert sd(1e200) == pytest.approx(4e-200 * math.exp(-1.0), rel=1e-14)
 
     def test_supraohmic_value(self):
         # gamma=1, cutoff=2, n=3, w=2: (4/4) * 8/4 * e^-1 = 2 e^-1
@@ -161,7 +169,7 @@ class TestTabulatedDensity:
 class TestPhaseProfile:
     def test_linear(self):
         p = PhaseProfile.linear(2.0)
-        assert phase_profile_eval(p, 3.0) == -6.0
+        assert p(3.0) == -6.0
         assert np.allclose(p(np.array([0.0, 1.0])), [0.0, -2.0])
 
     def test_quadratic(self):
@@ -246,6 +254,13 @@ class TestPhaseDistribution:
         with pytest.warns(UserWarning, match="truncated"):
             phase_distribution_eval(dist, 0.0, 1e-4)
 
+    def test_subnormal_time_truncates_instead_of_overflowing(self):
+        # the term count 1/sqrt(D t) is infinite in floating point here
+        dist = PhaseDistribution(diffusion=0.1)
+        with pytest.warns(UserWarning, match="truncated"):
+            p = phase_distribution_eval(dist, 0.0, 2.2e-309)
+        assert math.isfinite(p) and p > 0.0
+
     def test_negative_time_rejected(self):
         dist = PhaseDistribution(diffusion=1.0)
         with pytest.raises(ValueError):
@@ -261,8 +276,3 @@ class TestPhaseDistribution:
                 lambda x: phase_distribution_eval(dist, x, t0), x0, h=1e-3)
             assert abs(dpdt - 1.0 * d2pdx2) < 1e-6
 
-
-def test_default_omega_max():
-    assert default_omega_max(make_config(ohmicity=1)) == 60.0
-    assert default_omega_max(make_config(ohmicity=3)) == 70.0
-    assert default_omega_max(make_config(ohmicity=3, cutoff=2.0)) == 140.0

@@ -5,9 +5,11 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from neqbath.bath import BathConfig
 from neqbath.cli import grid_array, main
@@ -288,3 +290,91 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-m", "neqbath.cli",
                                "--version"], capture_output=True, text=True)
         assert proc.returncode == 0
+
+
+# commands that ended in a traceback before they were given exit code 2
+TRACEBACK_COMMANDS = [
+    ["gp", "--mode", "gamma", "--ohmicity", "2", "--gamma-grid", "0:0.1:0.05"],
+    ["decoherence", "--grid", "0:1:1e-300"],
+    ["decoherence", "--profile", "quadratic", "--ohmicity", "200",
+     "--grid", "0:1:0.5"],
+]
+
+
+def _number(lo, hi):
+    """Floats in [lo, hi] plus its ends, with a lean toward small values."""
+    return st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi),
+                     st.floats(lo, min(hi, 10.0)))
+
+
+def _grid(start_hi, step_lo, step_hi, points):
+    """A start:stop:step flag with at most `points` points."""
+    return st.builds(
+        lambda start, step, n: f"{start!r}:{start + n * step!r}:{step!r}",
+        st.floats(0.0, start_hi), st.floats(step_lo, step_hi),
+        st.integers(1, points - 1))
+
+
+_FLAGS = {
+    "--gamma": _number(0.0, 1e300),
+    "--cutoff": _number(1e-300, 1e300),
+    "--diffusion": _number(0.0, 1e300),
+    "--phase-lambda": _number(0.0, 1e300),
+    "--ohmicity": st.integers(-1, 250),
+    "--theta0": _number(-1.0, 4.0),
+    "--profile": st.sampled_from(["linear", "quadratic"]),
+}
+_COMMAND_FLAGS = {
+    "decoherence": {"--grid": _grid(20.0, 0.05, 5.0, 4),
+                    "--tol": st.sampled_from([1e-300, 1e-12, 1e-6, 1.0, 1e300]),
+                    "--method": st.sampled_from(["closed-form", "quadrature"])},
+    "gp": {"--mode": st.sampled_from(["point", "surface", "lambda", "gamma"]),
+           "--theta0-grid": _grid(3.0, 0.5, 3.0, 2),
+           "--gamma-grid": _grid(2.0, 0.05, 2.0, 3),
+           "--lambda-grid": _grid(5.0, 0.1, 5.0, 3)},
+    "pdist": {"--times": st.lists(_number(-1.0, 1e3), min_size=1, max_size=3)
+              .map(lambda ts: ",".join(repr(t) for t in ts)),
+              "--nx": st.integers(-1, 65)},
+    "mc": {"--n-modes": st.integers(0, 8), "--n-trajectories": st.integers(0, 4),
+           "--dt": _number(1e-3, 2.0), "--horizon": _number(1e-3, 2.0)},
+}
+
+
+@st.composite
+def cli_arguments(draw):
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    argv = [command]
+    if command in ("gp", "mc"):
+        # keep the expensive defaults small
+        argv += {"gp": ["--theta0-grid", "0:1:0.5", "--gamma-grid", "0:0.2:0.1",
+                        "--lambda-grid", "0:2:1"],
+                 "mc": ["--n-modes", "4", "--n-trajectories", "2",
+                        "--horizon", "0.5", "--dt", "0.1"]}[command]
+    if command == "decoherence":
+        argv += ["--grid", "0:2:1"]
+    flags = dict(_FLAGS, **_COMMAND_FLAGS[command])
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True,
+                              max_size=4)):
+        # flag=value keeps values such as -1e-05 from reading as flags
+        argv.append(f"{flag}={draw(flags[flag])}")
+    return argv
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", TRACEBACK_COMMANDS)
+    def test_former_tracebacks_exit_2(self, argv, tmp_path, capsys):
+        assert run_cli(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @settings(derandomize=True, max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=cli_arguments())
+    @example(argv=TRACEBACK_COMMANDS[0])
+    @example(argv=TRACEBACK_COMMANDS[1])
+    @example(argv=TRACEBACK_COMMANDS[2])
+    def test_every_run_exits_0_2_or_3(self, argv, tmp_path):
+        # later flags win, so the trailing --out keeps output off stdout
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = run_cli(argv + ["--out", str(tmp_path / "x.csv")])
+        assert code in (0, 2, 3)

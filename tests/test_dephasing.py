@@ -17,19 +17,22 @@ from neqbath.dephasing import (
     METHOD_CLOSED,
     METHOD_QUADRATURE,
     DecoherenceCurve,
+    _log_upper_gamma,
+    _oscillation_controls,
+    _tail_cutoff,
     asymptotic_factor,
     beta_closed,
     beta_integrand,
     beta_quadrature,
     decoherence_factor,
-    decoherence_ohmic_closed,
-    decoherence_supra_closed,
     find_dip,
 )
-from neqbath.numerics import ConvergenceError
+from neqbath.numerics import ConvergenceError, _initial_edges
 
 FIG1 = dict(gamma=3.0, cutoff=1.0, diffusion=0.5, phase_lambda=1.0)
 FIG2 = dict(gamma=0.5, cutoff=1.0, diffusion=0.1, phase_lambda=1.0)
+FIG3 = dict(gamma=3.0, cutoff=1.0, diffusion=0.1, phase_lambda=1.0,
+            phase_profile="quadratic")
 
 
 def cfg(params, **kw):
@@ -63,10 +66,6 @@ class TestClosedForm:
         assert worst < 1e-8
 
     def test_wrapper_misuse_errors(self):
-        with pytest.raises(ValueError, match="ohmicity 1"):
-            decoherence_ohmic_closed(1.0, cfg(FIG1, ohmicity=3))
-        with pytest.raises(ValueError, match="ohmicity 3"):
-            decoherence_supra_closed(1.0, cfg(FIG1, ohmicity=1))
         with pytest.raises(ValueError, match="linear"):
             beta_closed(1.0, cfg(FIG1, phase_profile="quadratic"))
         with pytest.raises(ValueError, match="ohmicity"):
@@ -144,6 +143,128 @@ class TestQuadrature:
             assert got == pytest.approx(beta_closed(t, shifted), abs=1e-9)
 
 
+class TestTruncatedQuadrature:
+    """The tolerance-derived cutoff, its tail bound and the panel grid."""
+
+    @pytest.mark.parametrize("params", [FIG1, FIG2])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_error_covers_closed_form_on_time_grid(self, params, n):
+        # the tail bound is nearly tight at late times, so the closed form
+        # keeps its own rounding error, eps (1 + beta), as in
+        # decoherence_factor
+        c = cfg(params, ohmicity=n)
+        for t in np.arange(0.0, 10.01, 0.1):
+            res = beta_quadrature(float(t), c)
+            exact = beta_closed(float(t), c)
+            assert res.converged and res.error <= 1e-10
+            slack = np.finfo(float).eps * (1.0 + exact)
+            assert abs(res.value - exact) <= res.error + slack, t
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_loose_run_within_its_error_of_tight_run(self, n):
+        c = cfg(FIG3, ohmicity=n)
+        for t in np.arange(0.1, 10.01, 0.3):
+            loose = beta_quadrature(float(t), c, tol=1e-8)
+            tight = beta_quadrature(float(t), c, tol=1e-12)
+            assert abs(loose.value - tight.value) <= loose.error, t
+
+    @staticmethod
+    def greedy_edges(upper, hint, cap):
+        # the panel-by-panel construction the closed-form grid replaces
+        floor = upper / 8192.0
+        w0 = max(min(upper / 64.0, hint / 2.0 if hint else upper), floor)
+        edges = [0.0]
+        while edges[-1] < upper:
+            w = max(min(w0, cap(edges[-1])), floor)
+            edges.append(min(edges[-1] + w, upper))
+        return np.array(edges)
+
+    @pytest.mark.parametrize("upper", [30.0, 300.0])
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 5.0])
+    @pytest.mark.parametrize("t", [0.02, 0.5, 3.0, 10.0])
+    def test_initial_grid_meets_width_rule(self, t, lam, upper):
+        c = cfg(FIG3, phase_lambda=lam)
+        hint, chirp = _oscillation_controls(t, c, PhaseProfile.quadratic(lam))
+        edges = _initial_edges(upper, hint, chirp)
+        widths = np.diff(edges)
+        floor = upper / 8192.0
+        w0 = max(min(upper / 64.0, hint / 2.0), floor)
+        cap = math.pi / (2.0 * (t + 2.0 * lam * edges[:-1]))
+        assert edges[0] == 0.0 and edges[-1] == upper
+        assert np.all(widths > 0.0)
+        assert np.all(widths <= w0 * (1.0 + 1e-12))
+        # past the point where the cap falls below the floor, the floor rules
+        assert np.all(widths <= np.maximum(cap, floor) * (1.0 + 1e-12))
+        greedy = self.greedy_edges(
+            upper, hint, lambda a: math.pi / (2.0 * (t + 2.0 * lam * a)))
+        assert len(edges) <= 1.05 * len(greedy) + 3
+
+    def test_linear_grid_is_uniform_below_half_period(self):
+        hint, chirp = _oscillation_controls(3.0, cfg(FIG2), PhaseProfile.linear(1.0))
+        assert chirp == 0.0
+        widths = np.diff(_initial_edges(40.0, hint, chirp))
+        assert np.all(widths <= hint / 2.0 * (1.0 + 1e-12))
+        assert np.allclose(widths[:-1], widths[0])
+
+    def test_zero_coupling_vanishes(self):
+        for params in (FIG2, FIG3):
+            res = beta_quadrature(2.0, cfg(params, gamma=0.0))
+            assert res.value == 0.0 and res.error == 0.0 and res.converged
+        curve = decoherence_factor(np.linspace(0.0, 5.0, 6),
+                                   cfg(FIG3, gamma=0.0))
+        assert np.all(curve.values == 1.0)
+
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    @pytest.mark.parametrize("x", [0.5, 5.0, 50.0])
+    def test_log_upper_gamma_matches_scipy(self, n, x):
+        from scipy.special import gammaincc
+        want = math.log(gammaincc(n + 1, x) * math.factorial(n))
+        assert _log_upper_gamma(n, x) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 3, 170])
+    @pytest.mark.parametrize("tol", [5e-324, 1e-300, 1e-10, 1.0, 1e300])
+    def test_cutoff_search_bounded_and_smallest(self, n, tol):
+        log_target = math.log(0.1) + math.log(tol)
+        x = _tail_cutoff(n, log_target)
+        assert math.isfinite(x) and x >= 1.0
+        assert _log_upper_gamma(n, x) <= log_target + 1e-12 * abs(log_target)
+        if x > 1.0:
+            assert _log_upper_gamma(n, x * (1.0 - 1e-6)) > log_target
+
+    def test_cutoff_follows_tolerance(self):
+        # the old fixed cutoff was 60 Lambda; at tol 1e-10 the bound allows
+        # about half that, and a tighter tolerance pushes it out
+        c = cfg(FIG3)
+        loose = beta_quadrature(5.0, c, tol=1e-6)
+        tight = beta_quadrature(5.0, c, tol=1e-12)
+        assert loose.subdivisions < tight.subdivisions
+        scale = math.log(c.gamma) + math.log(-math.expm1(-4.0 * c.diffusion * 5.0))
+        w = _tail_cutoff(1, math.log(1e-11) - scale)
+        assert 20.0 < w < 40.0
+
+    def test_short_cutoff_is_charged_to_the_error(self):
+        # an explicit omega_max that leaves a large tail cannot pass as
+        # converged: the bound on that tail is part of the error
+        with pytest.raises(ConvergenceError) as exc_info:
+            beta_quadrature(2.0, cfg(FIG3), omega_max=5.0)
+        res = exc_info.value.result
+        scale = math.log(3.0) + math.log(-math.expm1(-0.8))
+        tail = math.exp(scale + _log_upper_gamma(1, 5.0))
+        assert res.error >= tail > 1e-2
+        res = beta_quadrature(2.0, cfg(FIG3), omega_max=60.0)
+        assert res.converged
+
+    def test_largest_ohmicity_fails_cleanly(self):
+        # beta ~ gamma n! overflows the integrand: a convergence failure,
+        # not a bare ValueError
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            beta_quadrature(0.5, cfg(FIG3, ohmicity=170))
+        assert asymptotic_factor(cfg(FIG3, ohmicity=170)) == 0.0
+        tiny = cfg(FIG3, gamma=1e-307, ohmicity=170)
+        want = math.exp(-math.exp(math.log(1e-307) + math.lgamma(171)))
+        assert asymptotic_factor(tiny) == pytest.approx(want, rel=1e-12)
+
+
 class TestDispatch:
     def test_auto_routes(self):
         ts = np.arange(0.0, 3.01, 0.5)
@@ -191,11 +312,11 @@ class TestAsymptotics:
     def test_plateau_values(self):
         # beta(inf) = gamma n!; e^(-2 D t) at t = 200 is ~e^-40
         c1 = cfg(FIG2)
-        assert decoherence_ohmic_closed(200.0, c1) == pytest.approx(
+        assert math.exp(-beta_closed(200.0, c1)) == pytest.approx(
             math.exp(-0.5), abs=1e-10)
         assert asymptotic_factor(c1) == math.exp(-0.5)
         c3 = cfg(FIG1, ohmicity=3)
-        got = decoherence_supra_closed(200.0, c3)
+        got = math.exp(-beta_closed(200.0, c3))
         assert got == pytest.approx(math.exp(-18.0), rel=1e-8)
         assert asymptotic_factor(c3) == math.exp(-18.0)
 

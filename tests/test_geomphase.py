@@ -17,7 +17,6 @@ from neqbath.geomphase import (
     LambdaSweepResult,
     QubitState,
     bloch_angle,
-    bloch_snapshot,
     eigenvalue_plus,
     first_order_coefficient,
     first_order_correction,
@@ -104,12 +103,6 @@ class TestBlochAngle:
         c, s = bloch_angle(1e-12, 2.0 * math.pi / 3.0)
         assert s == pytest.approx(1.0, abs=1e-9)
 
-    def test_snapshot_consistency(self):
-        snap = bloch_snapshot(0.6, 1.1)
-        assert snap.eps_plus == pytest.approx(eigenvalue_plus(0.6, 1.1))
-        c, s = bloch_angle(0.6, 1.1)
-        assert (snap.cos_theta_plus, snap.sin_theta_plus) == (c, s)
-
 
 class TestGeometricPhase:
     def test_no_coupling_recovers_unitary_phase(self):
@@ -195,6 +188,16 @@ class TestPerturbativeCorrection:
 
     def test_lower_hemisphere_sign(self):
         assert perturbative_correction(cfg(0.5), 2.5) < 0.0
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_extreme_cutoffs_do_not_raise(self, n):
+        # cutoff**2 used to overflow (OverflowError) or underflow to 0
+        # (ZeroDivisionError); the D / cutoff^2 term just vanishes or grows
+        want = 0.5 * math.pi * (6.0 if n == 3 else 1.0) \
+            * math.sin(0.7) ** 2 * math.cos(0.7)
+        got = perturbative_correction(cfg(0.5, n, cutoff=1e200), 0.7)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert perturbative_correction(cfg(0.5, n, cutoff=1e-200), 0.7) == math.inf
 
 
 class TestFirstOrderCoefficient:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from neqbath.bath import BathConfig, PhaseProfile, SpectralDensity
-from neqbath.dephasing import METHOD_MC, decoherence_ohmic_closed
+from neqbath.dephasing import METHOD_MC, beta_closed
 from neqbath.montecarlo import (
     DiscretizedBath,
     EnsembleConfig,
@@ -164,7 +164,7 @@ class TestEnsembleRuns:
 
     def test_tracks_analytic_curve(self):
         mc = mc_decoherence_factor(CFG, self.small_ensemble())
-        analytic = decoherence_ohmic_closed(mc.times, CFG)
+        analytic = np.exp(-beta_closed(mc.times, CFG))
         dev = np.abs(np.abs(mc.estimates) - analytic)
         # every point within 3 standard errors (with a floor for the
         # early, nearly noise-free region) at this fixed seed
@@ -210,7 +210,7 @@ class TestEnsembleRuns:
         ens = self.small_ensemble(n_trajectories=200)
         end = mc_decoherence_factor(CFG, ens, phase_model="endpoint")
         integ = mc_decoherence_factor(CFG, ens, phase_model="integral")
-        analytic = decoherence_ohmic_closed(end.times, CFG)
+        analytic = np.exp(-beta_closed(end.times, CFG))
         dev_end = float(np.max(np.abs(np.abs(end.estimates) - analytic)))
         dev_int = float(np.max(np.abs(np.abs(integ.estimates) - analytic)))
         assert dev_int > 3.0 * dev_end
