@@ -55,7 +55,6 @@ from .montecarlo import (
     discretize_bath,
     endpoint_phase,
     mc_decoherence_factor,
-    sample_phase_path,
     to_decoherence_curve,
 )
 from .numerics import (

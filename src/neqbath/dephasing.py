@@ -99,14 +99,15 @@ def beta_integrand(omega, t: float, config: BathConfig,
     return out
 
 
-def _closed_q1(s, cutoff):
-    u = 4.0 * cutoff * cutoff * s * s
-    return (1.0 - u) / (1.0 + u) ** 2
-
-
-def _closed_q3(s, cutoff):
-    u = 4.0 * cutoff * cutoff * s * s
-    return (1.0 - 6.0 * u + u * u) / (1.0 + u) ** 4
+def _closed_q(s, cutoff, ohmicity):
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = 4.0 * cutoff * cutoff * s * s
+        if ohmicity == 1:
+            q = (1.0 - u) / (1.0 + u) ** 2
+        else:
+            q = (1.0 - 6.0 * u + u * u) / (1.0 + u) ** 4
+    # q -> 0 as u -> inf (not inf/inf); past 1e100 q is below beta's rounding
+    return np.where(u > 1e100, 0.0, q)
 
 
 def beta_closed(t, config: BathConfig):
@@ -129,12 +130,9 @@ def beta_closed(t, config: BathConfig):
     s = ta - config.phase_lambda
     e2 = np.exp(-2.0 * config.diffusion * ta)
     e4 = e2 * e2
-    if config.ohmicity == 1:
-        q = _closed_q1(s, config.cutoff)
-        beta = config.gamma * ((1.0 - e2) + (e2 - e4) * q)
-    else:
-        q = _closed_q3(s, config.cutoff)
-        beta = 6.0 * config.gamma * ((1.0 - e2) + (e2 - e4) * q)
+    q = _closed_q(s, config.cutoff, config.ohmicity)
+    beta = (6.0 * config.gamma if config.ohmicity == 3 else config.gamma) * (
+        (1.0 - e2) + (e2 - e4) * q)
     if np.isscalar(t) or np.ndim(t) == 0:
         return float(beta)
     return beta

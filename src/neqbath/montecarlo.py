@@ -18,12 +18,14 @@ Two accumulation readings are provided:
 
 Seeding is counter-based (Philox): trajectory m draws from counter
 block m << 64, so results are independent of evaluation order and
-reproducible bit for bit.
+reproducible bit for bit.  Trajectories run on one thread per available
+core and are reduced in trajectory order: the core count changes no bit.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -39,7 +41,6 @@ __all__ = [
     "EnsembleConfig",
     "McCurve",
     "discretize_bath",
-    "sample_phase_path",
     "accumulated_phase",
     "endpoint_phase",
     "mc_decoherence_factor",
@@ -143,54 +144,54 @@ def discretize_bath(density: SpectralDensity, profile: PhaseProfile,
     return bath
 
 
-def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
-    # one 2^64 counter block per trajectory: streams never overlap and
-    # do not depend on evaluation order
-    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=index << 64))
+def _worker_count() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def sample_phase_path(diffusion: float, dt: float, horizon: float,
-                      seed: int) -> np.ndarray:
-    """One Brownian phase path x(t_j) on t_j = j dt, x(0) = 0.
+_CHUNK = 64  # modes per normal draw in _fill_paths
 
-    Increments are N(0, 2 D dt).  Same seed, same path.
+
+def _fill_paths(paths: np.ndarray, draw: np.ndarray,
+                rng: np.random.Generator, scale: float) -> None:
+    """Brownian paths into paths[:, 1:] (column 0 stays 0), steps N(0, scale^2).
+
+    Normals are drawn len(draw) rows at a time, which continues one stream:
+    the paths are those of a single (n_modes, n_steps) draw.  Scale 0
+    draws nothing.
     """
-    if diffusion < 0:
-        raise ValueError("diffusion must be >= 0")
-    if dt <= 0 or horizon <= 0:
-        raise ValueError("dt and horizon must be positive")
-    nt = int(round(horizon / dt))
-    rng = _trajectory_rng(seed, 0)
-    steps = rng.standard_normal(nt) * math.sqrt(2.0 * diffusion * dt)
-    return np.concatenate([[0.0], np.cumsum(steps)])
+    if scale == 0.0:
+        return
+    for r in range(0, len(paths), len(draw)):
+        chunk = draw[:len(paths) - r]
+        rng.standard_normal(out=chunk)
+        chunk *= scale
+        np.cumsum(chunk, axis=1, out=paths[r:r + len(chunk), 1:])
 
 
-def _path_matrix(rng: np.random.Generator, diffusion: float, dt: float,
-                 n_modes: int, n_steps: int) -> np.ndarray:
-    if diffusion == 0.0:
-        # draw nothing: paths are identically zero and the stream layout
-        # stays comparable across diffusion values is not required
-        return np.zeros((n_modes, n_steps + 1))
-    steps = rng.standard_normal((n_modes, n_steps)) * math.sqrt(2.0 * diffusion * dt)
-    out = np.empty((n_modes, n_steps + 1))
-    out[:, 0] = 0.0
-    np.cumsum(steps, axis=1, out=out[:, 1:])
-    return out
-
-
-def endpoint_phase(bath: DiscretizedBath, paths: np.ndarray,
-                   times: np.ndarray) -> np.ndarray:
-    """Endpoint accumulation of one trajectory's dephasing angle."""
+def _mode_phases(bath: DiscretizedBath, paths: np.ndarray,
+                 times: np.ndarray) -> np.ndarray:
+    """w_k t_j + th_k + x_k(t_j), built in one new (n_modes, n_times) array."""
     paths = np.asarray(paths, dtype=float)
-    times = np.asarray(times, dtype=float)
     if paths.shape != (len(bath.omega), len(times)):
         raise ValueError(
             f"paths must have shape (n_modes, n_times) = "
             f"({len(bath.omega)}, {len(times)}), got {paths.shape}"
         )
-    ph = bath.omega[:, None] * times[None, :] + bath.theta0[:, None] + paths
-    return bath.coupling @ (np.sin(ph) - np.sin(bath.theta0)[:, None])
+    ph = bath.omega[:, None] * times[None, :]
+    ph += bath.theta0[:, None]
+    ph += paths
+    return ph
+
+
+def endpoint_phase(bath: DiscretizedBath, paths: np.ndarray,
+                   times: np.ndarray) -> np.ndarray:
+    """Endpoint accumulation of one trajectory's dephasing angle."""
+    ph = _mode_phases(bath, paths, np.asarray(times, dtype=float))
+    np.sin(ph, out=ph)
+    ph -= np.sin(bath.theta0)[:, None]
+    return bath.coupling @ ph
 
 
 def accumulated_phase(bath: DiscretizedBath, paths: np.ndarray,
@@ -201,20 +202,11 @@ def accumulated_phase(bath: DiscretizedBath, paths: np.ndarray,
     sum_k (c_k / w_k) [sin(w_k t + th_k) - sin(th_k)] at O(dt^2), which
     is what the tests pin it against.
     """
-    paths = np.asarray(paths, dtype=float)
     times = np.asarray(times, dtype=float)
-    if paths.shape != (len(bath.omega), len(times)):
-        raise ValueError(
-            f"paths must have shape (n_modes, n_times) = "
-            f"({len(bath.omega)}, {len(times)}), got {paths.shape}"
-        )
-    if len(times) >= 2:
-        dt = np.diff(times)
-        if np.any(dt <= 0):
-            raise ValueError("times must be strictly increasing")
-    field = bath.coupling @ np.cos(
-        bath.omega[:, None] * times[None, :] + bath.theta0[:, None] + paths
-    )
+    ph = _mode_phases(bath, paths, times)
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("times must be strictly increasing")
+    field = bath.coupling @ np.cos(ph, out=ph)
     out = np.empty_like(field)
     out[0] = 0.0
     np.cumsum(0.5 * (field[:-1] + field[1:]) * np.diff(times), out=out[1:])
@@ -255,16 +247,29 @@ def mc_decoherence_factor(config: BathConfig, ensemble: EnsembleConfig,
     nt = int(round(ensemble.horizon / ensemble.dt))
     times = np.arange(nt + 1) * ensemble.dt
     m_total = ensemble.n_trajectories
+    scale = math.sqrt(2.0 * config.diffusion * ensemble.dt)
+    # one 2^64 counter block per trajectory: streams never overlap and do
+    # not depend on which worker runs a trajectory, or when
+    key = np.random.SeedSequence(ensemble.seed).generate_state(2, np.uint64)
+    reading = endpoint_phase if phase_model == "endpoint" else accumulated_phase
     acc = np.empty((m_total, nt + 1), dtype=complex)
-    for m in range(m_total):
-        rng = _trajectory_rng(ensemble.seed, m)
-        paths = _path_matrix(rng, config.diffusion, ensemble.dt,
-                             ensemble.n_modes, nt)
-        if phase_model == "endpoint":
-            phi = endpoint_phase(bath, paths, times)
-        else:
-            phi = accumulated_phase(bath, paths, times)
-        acc[m] = np.exp(-1j * phi)
+    workers = min(_worker_count(), m_total)
+
+    def run(first: int) -> None:
+        # buffers owned by this worker, reused by each of its trajectories
+        paths = np.zeros((ensemble.n_modes, nt + 1))
+        draw = np.empty((min(_CHUNK, ensemble.n_modes), nt))
+        for m in range(first, m_total, workers):
+            rng = np.random.Generator(np.random.Philox(key=key, counter=m << 64))
+            _fill_paths(paths, draw, rng, scale)
+            acc[m] = np.exp(-1j * reading(bath, paths, times))
+
+    from concurrent.futures import ThreadPoolExecutor  # off the import path
+    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+        others = [pool.submit(run, w) for w in range(1, workers)]
+        run(0)  # the calling thread is a worker too
+        for task in others:
+            task.result()  # re-raises a worker's exception
 
     mean = acc.mean(axis=0)
     mod = np.abs(mean)

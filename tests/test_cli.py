@@ -3,14 +3,17 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import neqbath
 from neqbath.bath import BathConfig
 from neqbath.cli import grid_array, main
 from neqbath.dephasing import decoherence_factor
@@ -71,6 +74,19 @@ class TestDecoherenceCommand:
                  "--out", str(out)])
         _, _, comments = read_csv(out)
         assert any(c.startswith("dip t=") for c in comments)
+
+    @pytest.mark.parametrize("ohmicity,weight", [(1, 1.0), (3, 6.0)])
+    def test_far_times_give_the_plateau(self, ohmicity, weight, tmp_path):
+        # 4 cutoff^2 (t - lam)^2 overflows here; F is exp(-gamma n!)
+        out = tmp_path / "far.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["decoherence", "--grid", "1e300:1e301:1e300",
+                            "--ohmicity", str(ohmicity),
+                            "--out", str(out)]) == 0
+        _, data, _ = read_csv(out)
+        assert len(data) == 10
+        assert all(float(row[1]) == math.exp(-0.5 * weight) for row in data)
 
     def test_no_dip_comment_when_flat(self, tmp_path):
         out = tmp_path / "curve.csv"
@@ -287,8 +303,12 @@ class TestReproduceFigure:
 
 class TestEntryPoint:
     def test_console_script_runs(self):
+        # the child imports the package under test, installed or not
+        src = str(Path(neqbath.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "neqbath.cli",
-                               "--version"], capture_output=True, text=True)
+                               "--version"], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
 
 

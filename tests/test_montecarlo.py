@@ -5,20 +5,25 @@ statistical tolerances were chosen against the seeds actually used.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from neqbath.bath import BathConfig, PhaseProfile, SpectralDensity
+from neqbath import montecarlo
+from neqbath.bath import BathConfig, PhaseProfile, SpectralDensity, \
+    profile_from_config
 from neqbath.dephasing import METHOD_MC, beta_closed
 from neqbath.montecarlo import (
+    _CHUNK,
     DiscretizedBath,
     EnsembleConfig,
+    _fill_paths,
     accumulated_phase,
     discretize_bath,
     endpoint_phase,
     mc_decoherence_factor,
-    sample_phase_path,
     to_decoherence_curve,
 )
 
@@ -58,33 +63,67 @@ class TestDiscretize:
             discretize_bath(sd, PhaseProfile.linear(1.0), 16, 0.0)
 
 
+def built_paths(diffusion, dt, horizon, seed, n_modes=1):
+    """Phase paths from the Monte Carlo's own builder, on fresh buffers."""
+    nt = int(round(horizon / dt))
+    paths = np.zeros((n_modes, nt + 1))
+    rng = np.random.Generator(np.random.Philox(seed))
+    _fill_paths(paths, np.empty((min(_CHUNK, n_modes), nt)), rng,
+                math.sqrt(2.0 * diffusion * dt))
+    return paths
+
+
 class TestPhasePaths:
     def test_deterministic_per_seed(self):
-        a = sample_phase_path(0.5, 0.01, 2.0, seed=42)
-        b = sample_phase_path(0.5, 0.01, 2.0, seed=42)
-        c = sample_phase_path(0.5, 0.01, 2.0, seed=43)
+        a = built_paths(0.5, 0.01, 2.0, seed=42)
+        b = built_paths(0.5, 0.01, 2.0, seed=42)
+        c = built_paths(0.5, 0.01, 2.0, seed=43)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_starts_at_zero_right_length(self):
-        x = sample_phase_path(0.5, 0.01, 2.0, seed=1)
-        assert x[0] == 0.0
-        assert len(x) == 201
+        x = built_paths(0.5, 0.01, 2.0, seed=1, n_modes=3)
+        assert np.all(x[:, 0] == 0.0)
+        assert x.shape == (3, 201)
 
     def test_frozen_when_no_diffusion(self):
-        assert np.all(sample_phase_path(0.0, 0.01, 1.0, seed=5) == 0.0)
+        assert np.all(built_paths(0.0, 0.01, 1.0, seed=5) == 0.0)
 
     def test_increment_variance(self):
         # 4000 iid increments: sample variance within 5% of 2 D dt
-        x = sample_phase_path(0.5, 0.01, 40.0, seed=3)
+        x = built_paths(0.5, 0.01, 40.0, seed=3)[0]
         inc = np.diff(x)
         assert inc.var() == pytest.approx(2.0 * 0.5 * 0.01, rel=0.05)
 
     def test_bad_arguments(self):
+        # a draw buffer one step short of the paths
+        rng = np.random.Generator(np.random.Philox(0))
         with pytest.raises(ValueError):
-            sample_phase_path(-0.1, 0.01, 1.0, seed=0)
+            _fill_paths(np.zeros((4, 11)), np.empty((4, 9)), rng, 0.1)
+        # the scale comes from configs that refuse D < 0 and dt = 0
         with pytest.raises(ValueError):
-            sample_phase_path(0.1, 0.0, 1.0, seed=0)
+            BathConfig(gamma=0.3, cutoff=1.0, diffusion=-0.1, phase_lambda=1.0)
+        with pytest.raises(ValueError):
+            EnsembleConfig(n_modes=8, n_trajectories=10, seed=0, dt=0.0)
+
+    def test_chunks_reproduce_one_draw(self):
+        # 100 modes: one full chunk of 64 rows and a partial one of 36
+        n_modes, nt, scale = 100, 300, math.sqrt(2.0 * 0.5 * 0.01)
+        got = built_paths(0.5, 0.01, 3.0, seed=11, n_modes=n_modes)
+        rng = np.random.Generator(np.random.Philox(11))
+        want = np.zeros((n_modes, nt + 1))
+        np.cumsum(rng.standard_normal((n_modes, nt)) * scale, axis=1,
+                  out=want[:, 1:])
+        assert n_modes % _CHUNK != 0
+        assert np.array_equal(got, want)
+
+    def test_no_diffusion_draws_nothing(self):
+        rng = np.random.Generator(np.random.Philox(7))
+        paths = np.zeros((70, 11))
+        _fill_paths(paths, np.empty((_CHUNK, 10)), rng, 0.0)
+        assert np.all(paths == 0.0)
+        fresh = np.random.Generator(np.random.Philox(7))
+        assert rng.standard_normal() == fresh.standard_normal()
 
 
 def single_mode_bath(c=0.3, w=1.7, th=0.4):
@@ -226,6 +265,39 @@ class TestEnsembleRuns:
             mc_decoherence_factor(CFG, self.small_ensemble(),
                                   phase_model="ito")
 
+    def test_result_does_not_depend_on_worker_count(self, monkeypatch):
+        # 7 workers (usually more than the cores) and a short switch
+        # interval interleave often; the bytes must still be the serial loop's
+        ens = EnsembleConfig(n_modes=16, n_trajectories=9, seed=5, dt=0.01,
+                             horizon=2.0, omega_max=8.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for model in ("endpoint", "integral"):
+                want = serial_reference(CFG, ens, model)
+                for workers in (1, 2, 7):
+                    monkeypatch.setattr(montecarlo, "_worker_count",
+                                        lambda workers=workers: workers)
+                    got = mc_decoherence_factor(CFG, ens, phase_model=model)
+                    assert got.estimates.tobytes() == want[0].tobytes()
+                    assert got.stderr.tobytes() == want[1].tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        # the calling thread runs trajectories too; fail only off it
+        def failing(bath, paths, times):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("trajectory failed")
+            return endpoint_phase(bath, paths, times)
+
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "endpoint_phase", failing)
+        ens = EnsembleConfig(n_modes=16, n_trajectories=4, seed=1, dt=0.01,
+                             horizon=1.0, omega_max=8.0)
+        with pytest.raises(RuntimeError, match="trajectory failed"):
+            mc_decoherence_factor(CFG, ens)
+
     def test_curve_conversion(self):
         mc = mc_decoherence_factor(CFG, self.small_ensemble(
             n_trajectories=30, horizon=2.0))
@@ -233,3 +305,38 @@ class TestEnsembleRuns:
         assert curve.method == METHOD_MC
         assert np.array_equal(curve.values, np.abs(mc.estimates))
         assert np.array_equal(curve.errors, mc.stderr)
+
+
+def serial_reference(config, ens, phase_model):
+    """(estimates, stderr) from the one-trajectory-at-a-time loop that
+    preceded the thread pool, frozen here as the bit-for-bit reference."""
+    bath = discretize_bath(SpectralDensity.from_config(config),
+                           profile_from_config(config), ens.n_modes,
+                           ens.omega_max)
+    nt = int(round(ens.horizon / ens.dt))
+    times = np.arange(nt + 1) * ens.dt
+    acc = np.empty((ens.n_trajectories, nt + 1), dtype=complex)
+    for m in range(ens.n_trajectories):
+        key = np.random.SeedSequence(ens.seed).generate_state(2, np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key, counter=m << 64))
+        steps = rng.standard_normal((ens.n_modes, nt)) * math.sqrt(
+            2.0 * config.diffusion * ens.dt)
+        paths = np.empty((ens.n_modes, nt + 1))
+        paths[:, 0] = 0.0
+        np.cumsum(steps, axis=1, out=paths[:, 1:])
+        ph = bath.omega[:, None] * times[None, :] + bath.theta0[:, None] + paths
+        if phase_model == "endpoint":
+            phi = bath.coupling @ (np.sin(ph) - np.sin(bath.theta0)[:, None])
+        else:
+            field = bath.coupling @ np.cos(ph)
+            phi = np.empty_like(field)
+            phi[0] = 0.0
+            np.cumsum(0.5 * (field[:-1] + field[1:]) * np.diff(times),
+                      out=phi[1:])
+        acc[m] = np.exp(-1j * phi)
+    mean = acc.mean(axis=0)
+    mod = np.abs(mean)
+    unit = np.where(mod > 0, mean / np.where(mod > 0, mod, 1.0), 1.0 + 0j)
+    along = acc.real * unit.real[None, :] + acc.imag * unit.imag[None, :]
+    stderr = np.sqrt(along.var(axis=0, ddof=1) / ens.n_trajectories)
+    return mean, stderr
