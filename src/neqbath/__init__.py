@@ -16,7 +16,6 @@ from .bath import (
     SpectralDensity,
     phase_distribution_eval,
     profile_from_config,
-    spectral_total_weight,
 )
 from .dephasing import (
     METHOD_CLOSED,
@@ -28,6 +27,7 @@ from .dephasing import (
     beta_closed,
     beta_integrand,
     beta_quadrature,
+    beta_values,
     decoherence_factor,
     find_dip,
 )
@@ -60,8 +60,6 @@ from .montecarlo import (
 from .numerics import (
     ConvergenceError,
     QuadratureResult,
-    finite_difference_curvature,
-    finite_difference_slope,
     integrate_finite,
     integrate_semi_infinite,
 )

@@ -11,11 +11,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
-
-from .numerics import ConvergenceError, integrate_finite
 
 __all__ = [
     "BathConfig",
@@ -23,12 +20,11 @@ __all__ = [
     "PhaseProfile",
     "PhaseDistribution",
     "DeltaLimitError",
-    "spectral_total_weight",
     "phase_distribution_eval",
     "profile_from_config",
 ]
 
-_PROFILE_KINDS = ("linear", "quadratic", "custom")
+_PROFILE_KINDS = ("linear", "quadratic")
 _MAX_OHMICITY = 170
 
 
@@ -47,7 +43,7 @@ class BathConfig:
         the largest n whose n! (total spectral weight / 4 gamma) is a finite double
     phase_lambda: delay parameter of the initial phase profile
     omega: drive frequency of the quasi-cyclic evolution
-    phase_profile: "linear", "quadratic" or "custom"
+    phase_profile: "linear" or "quadratic"
     """
 
     gamma: float
@@ -80,89 +76,33 @@ class BathConfig:
 
 
 class SpectralDensity:
-    """Spectral weight I(omega) of the bath, defined for omega >= 0.
+    """Spectral weight of the bath, defined for omega >= 0:
 
-    Two flavors: the power-law family
-        I(w) = (4 gamma / cutoff) * (w / cutoff)^n * exp(-w / cutoff)
-    and a tabulated density interpolated monotonically (shape-preserving,
-    so nonnegative data stays nonnegative) and zero outside the table.
+        I(w) = (4 gamma / cutoff) * (w / cutoff)^n * exp(-w / cutoff),
+
+    whose integral over [0, inf) is 4 gamma n!.
     """
 
-    def __init__(self, kind, gamma=None, cutoff=None, ohmicity=None,
-                 table_omega=None, table_values=None):
-        self.kind = kind
+    def __init__(self, gamma: float, cutoff: float, ohmicity: int):
+        if gamma < 0 or cutoff <= 0 or ohmicity < 1:
+            raise ValueError("spectral density requires gamma >= 0, cutoff > 0, ohmicity >= 1")
         self.gamma = gamma
         self.cutoff = cutoff
-        self.ohmicity = ohmicity
-        self.table_omega = table_omega
-        self.table_values = table_values
-        self._interp = None
-        if kind == "table":
-            # lazy: scipy.interpolate is most of the import cost; only tables use it
-            from scipy.interpolate import PchipInterpolator
-            self._interp = PchipInterpolator(table_omega, table_values, extrapolate=False)
-
-    @classmethod
-    def power_law(cls, gamma: float, cutoff: float, ohmicity: int) -> "SpectralDensity":
-        if gamma < 0 or cutoff <= 0 or ohmicity < 1:
-            raise ValueError("power_law requires gamma >= 0, cutoff > 0, ohmicity >= 1")
-        return cls("power-law", gamma=gamma, cutoff=cutoff, ohmicity=int(ohmicity))
+        self.ohmicity = int(ohmicity)
 
     @classmethod
     def from_config(cls, config: BathConfig) -> "SpectralDensity":
-        return cls.power_law(config.gamma, config.cutoff, config.ohmicity)
-
-    @classmethod
-    def from_table(cls, omega, values) -> "SpectralDensity":
-        omega = np.asarray(omega, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if omega.ndim != 1 or omega.shape != values.shape or len(omega) < 2:
-            raise ValueError("table needs matching 1-D omega and value arrays, len >= 2")
-        if omega[0] < 0:
-            raise ValueError("table frequencies must be >= 0")
-        if np.any(np.diff(omega) <= 0):
-            raise ValueError("table frequencies must be strictly increasing")
-        if np.any(values < 0) or not np.all(np.isfinite(values)):
-            raise ValueError("table values must be finite and >= 0")
-        return cls("table", table_omega=omega, table_values=values)
+        return cls(config.gamma, config.cutoff, config.ohmicity)
 
     def __call__(self, omega):
         w = np.asarray(omega, dtype=float)
         if np.any(w < 0):
             raise ValueError("spectral density is defined for omega >= 0 only")
-        if self.kind == "power-law":
-            x = w / self.cutoff
-            out = (4.0 * self.gamma / self.cutoff) * x**self.ohmicity * np.exp(-x)
-        else:
-            out = self._interp(w)
-            out = np.where(np.isnan(out), 0.0, out)  # zero outside the table
+        x = w / self.cutoff
+        out = (4.0 * self.gamma / self.cutoff) * x**self.ohmicity * np.exp(-x)
         if np.isscalar(omega) or np.ndim(omega) == 0:
             return float(out)
         return out
-
-
-def spectral_total_weight(density: SpectralDensity, tol: float = 1e-10) -> float:
-    """Integral of I over [0, inf).
-
-    Power-law densities integrate in closed form to 4 * gamma * n!.
-    Tabulated densities are integrated numerically over their support; a
-    table the integrator cannot resolve raises with the best estimate
-    attached.
-    """
-    if density.kind == "power-law":
-        return 4.0 * density.gamma * math.factorial(density.ohmicity)
-    res = integrate_finite(
-        lambda w: density(w),
-        float(density.table_omega[0]),
-        float(density.table_omega[-1]),
-        tol=tol,
-    )
-    if not res.converged:
-        raise ConvergenceError(
-            f"tabulated spectral weight did not converge (error {res.error:.3e})",
-            result=res,
-        )
-    return res.value
 
 
 class PhaseProfile:
@@ -170,61 +110,35 @@ class PhaseProfile:
 
     linear:    theta = -lam * omega      (a pure delay)
     quadratic: theta = -lam * omega**2   (chirped delay)
-    custom:    any callable of omega
     """
 
-    def __init__(self, kind: str, lam: Optional[float] = None,
-                 func: Optional[Callable] = None):
+    def __init__(self, kind: str, lam: float):
         if kind not in _PROFILE_KINDS:
             raise ValueError(f"profile kind must be one of {_PROFILE_KINDS}")
-        if kind in ("linear", "quadratic"):
-            if lam is None or not math.isfinite(lam) or lam < 0:
-                raise ValueError("linear/quadratic profiles need a finite lam >= 0")
-        if kind == "custom" and not callable(func):
-            raise ValueError("custom profile needs a callable")
+        if not math.isfinite(lam) or lam < 0:
+            raise ValueError("profiles need a finite lam >= 0")
         self.kind = kind
         self.lam = lam
-        self.func = func
 
     @classmethod
     def linear(cls, lam: float) -> "PhaseProfile":
-        return cls("linear", lam=lam)
+        return cls("linear", lam)
 
     @classmethod
     def quadratic(cls, lam: float) -> "PhaseProfile":
-        return cls("quadratic", lam=lam)
-
-    @classmethod
-    def custom(cls, func: Callable) -> "PhaseProfile":
-        return cls("custom", func=func)
+        return cls("quadratic", lam)
 
     def __call__(self, omega):
         w = np.asarray(omega, dtype=float)
-        if self.kind == "linear":
-            out = -self.lam * w
-        elif self.kind == "quadratic":
-            out = -self.lam * w * w
-        else:
-            out = np.asarray(self.func(w), dtype=float)
+        out = -self.lam * w if self.kind == "linear" else -self.lam * w * w
         if np.isscalar(omega) or np.ndim(omega) == 0:
             return float(out)
         return out
 
 
-def profile_from_config(config: BathConfig,
-                        custom: Optional[Callable] = None) -> PhaseProfile:
-    """Build the profile named by config.phase_profile.
-
-    A config asking for "custom" must come with the callable; the config
-    itself only stores the kind.
-    """
-    if config.phase_profile == "linear":
-        return PhaseProfile.linear(config.phase_lambda)
-    if config.phase_profile == "quadratic":
-        return PhaseProfile.quadratic(config.phase_lambda)
-    if custom is None:
-        raise ValueError("config requests a custom profile but no callable was given")
-    return PhaseProfile.custom(custom)
+def profile_from_config(config: BathConfig) -> PhaseProfile:
+    """The profile named by config.phase_profile, with delay config.phase_lambda."""
+    return PhaseProfile(config.phase_profile, config.phase_lambda)
 
 
 @dataclass(frozen=True)

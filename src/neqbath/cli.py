@@ -15,13 +15,12 @@ configuration, 3 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -272,48 +271,51 @@ def _metadata(cfg: RunConfig, command: str, **extra) -> dict:
     return meta
 
 
-def cmd_decoherence(args: argparse.Namespace) -> int:
-    cfg = build_run_config(args)
-    bath = cfg.bath_config()
+class _Table(NamedTuple):
+    """One output table: the arguments of write_table after the path."""
+
+    columns: list
+    rows: list
+    comments: list
+    metadata: dict
+    extra: dict
+
+
+def _decoherence_table(cfg: RunConfig, dip: bool, tol: float = 1e-10,
+                       method: Optional[str] = None) -> _Table:
+    """|F| on cfg.grid, with a dip report when dip is set."""
     times = grid_array(cfg.grid)
     if times[0] < 0:
         raise ConfigError("time grid must start at t >= 0")
-    tol = args.tol if args.tol is not None else 1e-10
-    if tol <= 0:
-        raise ConfigError(f"tol must be positive, got {tol}")
-    curve = decoherence_factor(times, bath, tol=tol, method=args.method)
+    curve = decoherence_factor(times, cfg.bath_config(), tol=tol, method=method)
     rows = [(t, v, e, curve.method)
             for t, v, e in zip(curve.times, curve.values, curve.errors)]
     comments = []
     extra = {}
-    if args.dip:
-        dip = find_dip(curve)
-        if dip is None:
+    if dip:
+        found = find_dip(curve)
+        if found is None:
             comments.append("dip none")
             extra["dip"] = None
         else:
             comments.append(
-                f"dip t={_fmt(dip.time)} F={_fmt(dip.value)} "
-                f"prominence={_fmt(dip.prominence)}"
+                f"dip t={_fmt(found.time)} F={_fmt(found.value)} "
+                f"prominence={_fmt(found.prominence)}"
             )
-            extra["dip"] = {"t": dip.time, "F": dip.value,
-                            "prominence": dip.prominence}
-    write_table(args.out, ["t", "F", "err", "method"], rows, comments,
-                args.json, _metadata(cfg, "decoherence", grid=list(cfg.grid)),
-                extra)
-    return 0
+            extra["dip"] = {"t": found.time, "F": found.value,
+                            "prominence": found.prominence}
+    return _Table(["t", "F", "err", "method"], rows, comments,
+                  _metadata(cfg, "decoherence", grid=list(cfg.grid)), extra)
 
 
-def cmd_gp(args: argparse.Namespace) -> int:
-    cfg = build_run_config(args)
+def _gp_table(cfg: RunConfig) -> _Table:
+    """The geometric-phase table of mode cfg.mode."""
     bath = cfg.bath_config()
     if cfg.mode == "point":
         res = geometric_phase(bath, cfg.theta0)
         rows = [(cfg.theta0, res.phi_g, res.phi_u, res.delta, res.tol)]
-        write_table(args.out, ["theta0", "phi_g", "phi_u", "delta", "err"],
-                    rows, (), args.json,
-                    _metadata(cfg, "gp", mode="point", theta0=cfg.theta0))
-        return 0
+        return _Table(["theta0", "phi_g", "phi_u", "delta", "err"], rows, [],
+                      _metadata(cfg, "gp", mode="point", theta0=cfg.theta0), {})
     if cfg.mode == "surface":
         th = grid_array(cfg.theta0_grid)
         ga = grid_array(cfg.gamma_grid)
@@ -326,12 +328,10 @@ def cmd_gp(args: argparse.Namespace) -> int:
                     rows.append((t0, g, r, ""))
                 else:
                     rows.append((t0, g, float("nan"), UNDEFINED_NORM))
-        write_table(args.out, ["theta0", "gamma", "delta_phi_norm", "note"],
-                    rows, (), args.json,
-                    _metadata(cfg, "gp", mode="surface",
-                              theta0_grid=list(cfg.theta0_grid),
-                              gamma_grid=list(cfg.gamma_grid)))
-        return 0
+        return _Table(["theta0", "gamma", "delta_phi_norm", "note"], rows, [],
+                      _metadata(cfg, "gp", mode="surface",
+                                theta0_grid=list(cfg.theta0_grid),
+                                gamma_grid=list(cfg.gamma_grid)), {})
     if cfg.mode == "lambda":
         th = grid_array(cfg.theta0_grid)
         lams = grid_array(cfg.lambda_grid)
@@ -345,15 +345,13 @@ def cmd_gp(args: argparse.Namespace) -> int:
                else f"no (max increase {_fmt(sweep.max_increase[i])})")
             for i, t0 in enumerate(sweep.theta0)
         ]
-        extra = {"monotone": [bool(b) for b in sweep.monotone],
+        extra = {"theta0_values": [float(v) for v in sweep.theta0],
+                 "monotone": [bool(b) for b in sweep.monotone],
                  "max_increase": [float(v) for v in sweep.max_increase]}
-        write_table(args.out, ["theta0", "lambda", "delta_phi"], rows,
-                    comments, args.json,
-                    _metadata(cfg, "gp", mode="lambda",
-                              theta0_grid=list(cfg.theta0_grid),
-                              lambda_grid=list(cfg.lambda_grid)),
-                    extra)
-        return 0
+        return _Table(["theta0", "lambda", "delta_phi"], rows, comments,
+                      _metadata(cfg, "gp", mode="lambda",
+                                theta0_grid=list(cfg.theta0_grid),
+                                lambda_grid=list(cfg.lambda_grid)), extra)
     if cfg.mode == "gamma":
         ga = grid_array(cfg.gamma_grid)
         _, exact, pred = gamma_comparison(bath, cfg.theta0, ga)
@@ -364,15 +362,29 @@ def cmd_gp(args: argparse.Namespace) -> int:
             "phi_u + gamma C sin(theta0)^2 cos(theta0) + O(gamma^2); "
             "phi_g_pred uses the paper's asymptotic coefficient"
         ]
-        write_table(args.out, ["gamma", "phi_g", "phi_g_pred"], rows,
-                    comments, args.json,
-                    _metadata(cfg, "gp", mode="gamma", theta0=cfg.theta0,
-                              gamma_grid=list(cfg.gamma_grid)),
-                    {"first_order_coefficient": coeff})
-        return 0
+        return _Table(["gamma", "phi_g", "phi_g_pred"], rows, comments,
+                      _metadata(cfg, "gp", mode="gamma", theta0=cfg.theta0,
+                                gamma_grid=list(cfg.gamma_grid)),
+                      {"first_order_coefficient": coeff})
     raise ConfigError(
         f"gp mode must be point, surface, lambda or gamma, got {cfg.mode!r}"
     )
+
+
+def cmd_decoherence(args: argparse.Namespace) -> int:
+    cfg = build_run_config(args)
+    tol = args.tol if args.tol is not None else 1e-10
+    if tol <= 0:
+        raise ConfigError(f"tol must be positive, got {tol}")
+    table = _decoherence_table(cfg, args.dip, tol, args.method)
+    write_table(args.out, json_mode=args.json, **table._asdict())
+    return 0
+
+
+def cmd_gp(args: argparse.Namespace) -> int:
+    table = _gp_table(build_run_config(args))
+    write_table(args.out, json_mode=args.json, **table._asdict())
+    return 0
 
 
 def cmd_mc(args: argparse.Namespace) -> int:
@@ -418,151 +430,62 @@ def cmd_pdist(args: argparse.Namespace) -> int:
     return 0
 
 
-# canned parameter sets for the seven standard figures
-_FIG_GRID = (0.0, 10.0, 0.01)
-
-
-def _figure_jobs(outdir: Path):
-    def curve_job(name, gamma, diffusion, ohmicity, profile, grid,
-                  with_dip=False):
-        cfg = BathConfig(gamma=gamma, cutoff=1.0, diffusion=diffusion,
-                         phase_lambda=1.0, ohmicity=ohmicity,
-                         phase_profile=profile)
-        times = grid_array(grid)
-        curve = decoherence_factor(times, cfg)
-        rows = [(t, v, e, curve.method) for t, v, e in
-                zip(curve.times, curve.values, curve.errors)]
-        meta = {"gamma": gamma, "cutoff": 1.0, "diffusion": diffusion,
-                "phase_lambda": 1.0, "ohmicity": ohmicity, "profile": profile,
-                "grid": list(grid)}
-        if with_dip:
-            dip = find_dip(curve)
-            meta["dip"] = None if dip is None else {
-                "t": dip.time, "F": dip.value, "prominence": dip.prominence}
-        write_table(str(outdir / f"{name}.csv"), ["t", "F", "err", "method"],
-                    rows)
-        return name, meta
-
-    def fig1():
-        files, meta = [], {"note": "the static-noise Gaussian reference "
-                                   "curve of the original figure is a "
-                                   "different bath family and is omitted"}
-        for n, tag in ((1, "ohmic"), (3, "supraohmic")):
-            name, m = curve_job(f"fig1_{tag}", 3.0, 0.5, n, "linear",
-                                _FIG_GRID)
-            files.append(name)
-            meta[tag] = m
-        return files, meta
-
-    def fig2():
-        files, meta = [], {}
-        for n, tag in ((1, "ohmic"), (3, "supraohmic")):
-            name, m = curve_job(f"fig2_{tag}", 0.5, 0.1, n, "linear",
-                                _FIG_GRID, with_dip=True)
-            files.append(name)
-            meta[tag] = m
-        return files, meta
-
-    def fig3():
-        files, meta = [], {}
-        # quadratic profile has no closed form; coarser grid keeps the
-        # per-point quadrature bill reasonable
-        for n, tag in ((1, "ohmic"), (3, "supraohmic")):
-            name, m = curve_job(f"fig3_{tag}", 3.0, 0.1, n, "quadratic",
-                                (0.0, 10.0, 0.02))
-            files.append(name)
-            meta[tag] = m
-        return files, meta
-
-    def surface_fig(num, ohmicity):
-        cfg = BathConfig(gamma=1.0, cutoff=1.0, diffusion=0.1,
-                         phase_lambda=1.0, ohmicity=ohmicity)
-        th = grid_array((0.0, math.pi, math.pi / 32.0))
-        ga = grid_array((0.0, 2.0, 0.1))
-        surf = gp_surface(cfg, th, ga)
-        rows = []
-        for i, t0 in enumerate(surf.theta0):
-            for j, g in enumerate(surf.gamma):
-                r = surf.ratio[i, j]
-                rows.append((t0, g, r if math.isfinite(r) else float("nan"),
-                             "" if math.isfinite(r) else UNDEFINED_NORM))
-        name = f"fig{num}_surface"
-        write_table(str(outdir / f"{name}.csv"),
-                    ["theta0", "gamma", "delta_phi_norm", "note"], rows)
-        meta = {"cutoff": 1.0, "diffusion": 0.1, "phase_lambda": 1.0,
-                "ohmicity": ohmicity,
-                "theta0_grid": [0.0, math.pi, math.pi / 32.0],
-                "gamma_grid": [0.0, 2.0, 0.1]}
-        return [name], meta
-
-    def fig6():
-        files = []
-        theta0 = math.pi / 4.0
-        ga = grid_array((0.0, 0.5, 0.02))
-        meta = {"cutoff": 1.0, "diffusion": 1.0, "phase_lambda": 1.0,
-                "theta0": theta0, "gamma_grid": [0.0, 0.5, 0.02],
-                "note": "initial state not pinned by the caption; "
-                        "theta0 = pi/4 chosen and recorded here"}
-        for n, tag in ((1, "ohmic"), (3, "supraohmic")):
-            cfg = BathConfig(gamma=0.1, cutoff=1.0, diffusion=1.0,
-                             phase_lambda=1.0, ohmicity=n)
-            _, exact, pred = gamma_comparison(cfg, theta0, ga)
-            name = f"fig6_{tag}"
-            write_table(str(outdir / f"{name}.csv"),
-                        ["gamma", "phi_g", "phi_g_pred"],
-                        list(zip(ga, exact, pred)))
-            files.append(name)
-        return files, meta
-
-    def fig7():
-        cfg = BathConfig(gamma=3.0, cutoff=1.0, diffusion=0.1,
-                         phase_lambda=1.0, ohmicity=1)
-        th = np.array([math.pi / 8.0, math.pi / 4.0, 3.0 * math.pi / 8.0])
-        lams = grid_array((0.0, 5.0, 0.25))
-        sweep = gp_lambda_sweep(cfg, th, lams)
-        rows = [(t0, lam, sweep.delta_abs[i, j])
-                for i, t0 in enumerate(sweep.theta0)
-                for j, lam in enumerate(sweep.lam)]
-        comments = [
-            f"monotone theta0={_fmt(t0)}: "
-            + ("yes" if sweep.monotone[i]
-               else f"no (max increase {_fmt(sweep.max_increase[i])})")
-            for i, t0 in enumerate(sweep.theta0)
-        ]
-        name = "fig7_lambda"
-        write_table(str(outdir / f"{name}.csv"),
-                    ["theta0", "lambda", "delta_phi"], rows, comments)
-        meta = {"gamma": 3.0, "cutoff": 1.0, "diffusion": 0.1, "ohmicity": 1,
-                "theta0_values": [float(v) for v in th],
-                "lambda_grid": [0.0, 5.0, 0.25],
-                "monotone": [bool(b) for b in sweep.monotone],
-                "max_increase": [float(v) for v in sweep.max_increase]}
-        return [name], meta
-
-    return {
-        1: fig1,
-        2: fig2,
-        3: fig3,
-        4: lambda: surface_fig(4, 1),
-        5: lambda: surface_fig(5, 3),
-        6: fig6,
-        7: fig7,
-    }
+# The standard figures as canned runs of the decoherence and gp tables:
+# figure -> (figure-wide metadata, [(CSV name, table, RunConfig fields)]).
+# The RunConfig defaults hold the figures' common parameters.
+_FIGURES = {
+    1: ({"note": "the static-noise Gaussian reference curve of the original "
+                 "figure is a different bath family and is omitted"},
+        [("fig1_ohmic", "decoherence", dict(gamma=3.0, diffusion=0.5)),
+         ("fig1_supraohmic", "decoherence",
+          dict(gamma=3.0, diffusion=0.5, ohmicity=3))]),
+    2: ({}, [("fig2_ohmic", "dip", {}),
+             ("fig2_supraohmic", "dip", dict(ohmicity=3))]),
+    # the quadratic profile takes the quadrature route; a coarser grid
+    # keeps the per-point bill reasonable
+    3: ({}, [("fig3_ohmic", "decoherence",
+              dict(gamma=3.0, profile="quadratic", grid=(0.0, 10.0, 0.02))),
+             ("fig3_supraohmic", "decoherence",
+              dict(gamma=3.0, profile="quadratic", grid=(0.0, 10.0, 0.02),
+                   ohmicity=3))]),
+    4: ({}, [("fig4_surface", "surface", dict(gamma_grid=(0.0, 2.0, 0.1)))]),
+    5: ({}, [("fig5_surface", "surface",
+              dict(gamma_grid=(0.0, 2.0, 0.1), ohmicity=3))]),
+    6: ({"note": "initial state not pinned by the caption; "
+                 "theta0 = pi/4 chosen and recorded here"},
+        [("fig6_ohmic", "gamma", dict(gamma=0.1, diffusion=1.0)),
+         ("fig6_supraohmic", "gamma", dict(gamma=0.1, diffusion=1.0, ohmicity=3))]),
+    7: ({}, [("fig7_lambda", "lambda",
+              dict(gamma=3.0, theta0_grid=(math.pi / 8.0, 3.0 * math.pi / 8.0,
+                                           math.pi / 8.0)))]),
+}
 
 
 def cmd_reproduce_figure(args: argparse.Namespace) -> int:
+    if args.number not in _FIGURES:
+        raise ConfigError(f"figure number must be 1..7, got {args.number}")
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    jobs = _figure_jobs(outdir)
-    if args.number not in jobs:
-        raise ConfigError(f"figure number must be 1..7, got {args.number}")
-    files, meta = jobs[args.number]()
+    notes, jobs = _FIGURES[args.number]
     meta_doc = {"figure": args.number, "version": __version__,
-                "files": [f"{f}.csv" for f in files], **meta}
+                "files": [f"{name}.csv" for name, _, _ in jobs], **notes}
+    for name, kind, fields in jobs:
+        if kind in ("decoherence", "dip"):
+            table = _decoherence_table(RunConfig(**fields), dip=kind == "dip")
+        else:
+            table = _gp_table(RunConfig(mode=kind, **fields))
+        # only figure 7 keeps its comment lines; the dip and C go to the metadata
+        write_table(str(outdir / f"{name}.csv"), table.columns, table.rows,
+                    table.comments if kind == "lambda" else ())
+        meta = {**table.metadata, **table.extra}
+        if len(jobs) == 1:
+            meta_doc.update(meta)
+        else:
+            meta_doc[name.split("_", 1)[1]] = meta
     meta_path = outdir / f"fig{args.number}_metadata.json"
     meta_path.write_text(json.dumps(meta_doc, indent=2) + "\n")
-    for f in files:
-        print(outdir / f"{f}.csv")
+    for name, _, _ in jobs:
+        print(outdir / f"{name}.csv")
     print(meta_path)
     return 0
 

@@ -11,6 +11,7 @@ nonnegative, so beta >= 0 and |F| <= 1 for every parameter choice.
 
 For the linear phase profile and ohmicity 1 or 3 the frequency integral
 has a closed form; everything else goes through adaptive quadrature.
+beta_values makes that choice for every caller.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "beta_integrand",
     "beta_quadrature",
     "beta_closed",
+    "beta_values",
     "decoherence_factor",
     "asymptotic_factor",
     "find_dip",
@@ -83,13 +85,11 @@ class DipReport:
     prominence: float
 
 
-def beta_integrand(omega, t: float, config: BathConfig,
-                   profile: Optional[PhaseProfile] = None):
+def beta_integrand(omega, t: float, config: BathConfig):
     """Integrand of beta(t) as a function of frequency (vectorized)."""
-    if profile is None:
-        profile = profile_from_config(config)
     w = np.asarray(omega, dtype=float)
     density = SpectralDensity.from_config(config)
+    profile = profile_from_config(config)
     e2 = math.exp(-2.0 * config.diffusion * t)
     e4 = e2 * e2
     bracket = (1.0 - e2) + (e2 - e4) * np.cos(2.0 * (w * t + profile(w)))
@@ -101,7 +101,8 @@ def beta_integrand(omega, t: float, config: BathConfig,
 
 def _closed_q(s, cutoff, ohmicity):
     with np.errstate(over="ignore", invalid="ignore"):
-        u = 4.0 * cutoff * cutoff * s * s
+        # once 4 cutoff^2 overflows, s = 0 gives inf * 0; u is 0 there
+        u = np.where(s == 0.0, 0.0, 4.0 * cutoff * cutoff * s * s)
         if ohmicity == 1:
             q = (1.0 - u) / (1.0 + u) ** 2
         else:
@@ -138,23 +139,21 @@ def beta_closed(t, config: BathConfig):
     return beta
 
 
-def _oscillation_controls(t: float, config: BathConfig, profile: PhaseProfile):
+def _oscillation_controls(t: float, config: BathConfig):
     """(period_hint, chirp) for the frequency integral at time t.
 
     The integrand oscillates as cos(2 (w t + theta(w))) with local rate
     2 |t + theta'(w)|: constant 2 |t - lam| for linear profiles, at most
     2 t + 4 lam w for quadratic ones, whose panels thus shrink with
-    frequency.  Custom profiles only get the t-based hint.
+    frequency.
     """
     amp = math.exp(-2.0 * config.diffusion * t) - math.exp(-4.0 * config.diffusion * t)
     if t <= 0 or amp < _OSC_AMP_FLOOR:
         return None, 0.0
-    if profile.kind == "linear":
-        rate = 2.0 * abs(t - profile.lam)
-        return (2.0 * math.pi / rate if rate > 1e-12 else None), 0.0
-    if profile.kind == "quadratic":
-        return math.pi / t, 4.0 * profile.lam
-    return math.pi / t, 0.0
+    if config.phase_profile == "quadratic":
+        return math.pi / t, 4.0 * config.phase_lambda
+    rate = 2.0 * abs(t - config.phase_lambda)
+    return (2.0 * math.pi / rate if rate > 1e-12 else None), 0.0
 
 
 def _log_upper_gamma(n: int, x: float) -> float:
@@ -188,6 +187,7 @@ def beta_quadrature(t: float, config: BathConfig,
                     omega_max: Optional[float] = None) -> QuadratureResult:
     """beta(t) by adaptive quadrature over frequency, any profile and ohmicity.
 
+    A profile, if given, replaces the config's profile kind and delay.
     The bracket is at most 1 - exp(-4 D t), so the tail past W is at
     most gamma Gamma(n + 1, W / cutoff) (1 - exp(-4 D t)).  Unless
     omega_max fixes it, W is the smallest value (>= cutoff) that puts
@@ -195,8 +195,9 @@ def beta_quadrature(t: float, config: BathConfig,
     plus the bound; ConvergenceError, with the best estimate attached,
     if it misses tol or the integrand overflows.
     """
-    if profile is None:
-        profile = profile_from_config(config)
+    if profile is not None:
+        config = dataclasses.replace(config, phase_profile=profile.kind,
+                                     phase_lambda=profile.lam)
     if t < 0:
         raise ValueError("t must be >= 0")
     if tol <= 0:
@@ -210,10 +211,10 @@ def beta_quadrature(t: float, config: BathConfig,
         log_target = math.log(_TAIL_SHARE) + math.log(tol) - log_scale
         omega_max = config.cutoff * _tail_cutoff(n, log_target)
     tail = math.exp(log_scale + _log_upper_gamma(n, omega_max / config.cutoff))
-    hint, chirp = _oscillation_controls(t, config, profile)
+    hint, chirp = _oscillation_controls(t, config)
     try:
         res = integrate_semi_infinite(
-            lambda w: beta_integrand(w, t, config, profile), upper=omega_max,
+            lambda w: beta_integrand(w, t, config), upper=omega_max,
             tol=(1.0 - _TAIL_SHARE) * tol, period_hint=hint, chirp=chirp)
     except ValueError as exc:  # the integrand overflowed
         raise ConvergenceError(f"beta({t}) quadrature failed: {exc}") from exc
@@ -228,26 +229,22 @@ def beta_quadrature(t: float, config: BathConfig,
     return res
 
 
-def decoherence_factor(times, config: BathConfig,
-                       profile: Optional[PhaseProfile] = None,
-                       tol: float = 1e-10,
-                       method: Optional[str] = None) -> DecoherenceCurve:
-    """|F| over a time grid, dispatching closed form vs quadrature.
+def beta_values(times, config: BathConfig, tol: float,
+                method: Optional[str] = None):
+    """beta on a 1-D time grid as (values, errors, route): the one dispatch.
 
     The closed form applies when ohmicity is 1 or 3 and the profile is
     linear; method can force either route (forcing the closed form on an
-    unsupported config raises).  Errors on the curve are float-rounding
-    scale for the closed form and propagated quadrature error otherwise.
+    unsupported config raises).  Errors are float-rounding scale,
+    eps (1 + beta), for the closed form and the quadrature error, to
+    absolute tolerance tol, otherwise.
     """
     ta = np.asarray(times, dtype=float)
     if ta.ndim != 1:
         raise ValueError("times must be a 1-D array")
-    if np.any(ta < 0):
+    if (ta < 0).any():  # cheaper than np.any; the GP calls this per panel batch
         raise ValueError("times must be >= 0")
-    if profile is None:
-        profile = profile_from_config(config)
-
-    closed_ok = profile.kind == "linear" and config.ohmicity in (1, 3)
+    closed_ok = config.phase_profile == "linear" and config.ohmicity in (1, 3)
     if method is None:
         method = METHOD_CLOSED if closed_ok else METHOD_QUADRATURE
     if method == METHOD_CLOSED:
@@ -255,25 +252,29 @@ def decoherence_factor(times, config: BathConfig,
             raise ValueError(
                 "closed form unavailable: needs linear profile and ohmicity 1 or 3"
             )
-        cfg = config
-        if profile.lam != config.phase_lambda:
-            # the profile's delay is what enters beta
-            cfg = dataclasses.replace(config, phase_lambda=profile.lam,
-                                      phase_profile="linear")
-        beta = beta_closed(ta, cfg)
-        values = np.exp(-beta)
-        errors = np.finfo(float).eps * (1.0 + beta) * values
-        return DecoherenceCurve(ta, values, errors, METHOD_CLOSED)
+        beta = beta_closed(ta, config)
+        return beta, np.finfo(float).eps * (1.0 + beta), METHOD_CLOSED
     if method != METHOD_QUADRATURE:
         raise ValueError(f"unknown method {method!r}")
-
-    values = np.empty_like(ta)
+    beta = np.empty_like(ta)
     errors = np.empty_like(ta)
     for i, t in enumerate(ta):
-        res = beta_quadrature(float(t), config, profile, tol=tol)
-        values[i] = math.exp(-res.value)
-        errors[i] = values[i] * res.error
-    return DecoherenceCurve(ta, values, errors, METHOD_QUADRATURE)
+        res = beta_quadrature(float(t), config, tol=tol)
+        beta[i] = res.value
+        errors[i] = res.error
+    return beta, errors, METHOD_QUADRATURE
+
+
+def decoherence_factor(times, config: BathConfig, tol: float = 1e-10,
+                       method: Optional[str] = None) -> DecoherenceCurve:
+    """|F| = exp(-beta) over a time grid, with beta from beta_values.
+
+    The error on |F| is |F| times the error on beta.
+    """
+    beta, errors, route = beta_values(times, config, tol, method)
+    values = np.exp(-beta)
+    return DecoherenceCurve(np.asarray(times, dtype=float), values,
+                            errors * values, route)
 
 
 def asymptotic_factor(config: BathConfig) -> float:

@@ -21,12 +21,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .bath import BathConfig, PhaseProfile, profile_from_config
-from .dephasing import beta_closed, beta_quadrature
+from .bath import BathConfig
+from .dephasing import beta_values
 from .numerics import ConvergenceError, integrate_finite
 
 __all__ = [
@@ -172,26 +172,7 @@ def unitary_phase(state: Union[QubitState, float]) -> float:
     return math.pi * (1.0 + math.cos(_theta0_of(state)))
 
 
-def _beta_evaluator(config: BathConfig, profile: PhaseProfile,
-                    beta_tol: float):
-    """Vectorized t -> beta(t), closed form when it exists."""
-    if profile.kind == "linear" and config.ohmicity in (1, 3):
-        cfg = config
-        if profile.lam != config.phase_lambda:
-            cfg = dataclasses.replace(config, phase_lambda=profile.lam,
-                                      phase_profile="linear")
-        return lambda ts: beta_closed(ts, cfg)
-
-    def beta(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return np.array([beta_quadrature(float(t), config, profile,
-                                         tol=beta_tol).value for t in ts])
-
-    return beta
-
-
 def geometric_phase(config: BathConfig, state: Union[QubitState, float],
-                    profile: Optional[PhaseProfile] = None,
                     tol: float = 1e-9,
                     beta_tol: float = 1e-12) -> GPResult:
     """GP of one quasi-cycle with the bath on.
@@ -202,14 +183,11 @@ def geometric_phase(config: BathConfig, state: Union[QubitState, float],
     fall out of the same code path.
     """
     theta0 = _theta0_of(state)
-    if profile is None:
-        profile = profile_from_config(config)
-    beta = _beta_evaluator(config, profile, beta_tol)
     period = 2.0 * math.pi / config.omega
     base = math.cos(0.5 * theta0) ** 2
 
     def integrand(ts):
-        cosp, _ = bloch_angle(np.exp(-beta(ts)), theta0)
+        cosp, _ = bloch_angle(np.exp(-beta_values(ts, config, beta_tol)[0]), theta0)
         return config.omega * (cosp * cosp - base)
 
     if config.gamma == 0.0 or config.diffusion == 0.0:
@@ -240,10 +218,10 @@ def first_order_coefficient(config: BathConfig) -> float:
     The cycle integral is taken to 1e-12 on C with beta at gamma = 1,
     by the same closed-form or quadrature route as geometric_phase.
     """
-    beta = _beta_evaluator(dataclasses.replace(config, gamma=1.0),
-                           profile_from_config(config), 1e-12)
+    unit = dataclasses.replace(config, gamma=1.0)
     period = 2.0 * math.pi / config.omega
-    res = integrate_finite(beta, 0.0, period, tol=2e-12 / config.omega)
+    res = integrate_finite(lambda ts: beta_values(ts, unit, 1e-12)[0], 0.0, period,
+                           tol=2e-12 / config.omega)
     if not res.converged:
         raise ConvergenceError(
             f"first-order cycle integral stalled at error {res.error:.3e}",
@@ -304,7 +282,6 @@ def perturbative_correction(config: BathConfig,
 
 def gp_surface(config: BathConfig, theta0_grid: Sequence[float],
                gamma_grid: Sequence[float],
-               profile: Optional[PhaseProfile] = None,
                tol: float = 1e-9) -> SurfaceResult:
     """Relative GP degradation over a (theta0, gamma) grid.
 
@@ -319,7 +296,7 @@ def gp_surface(config: BathConfig, theta0_grid: Sequence[float],
     for j, g in enumerate(ga):
         cfg = dataclasses.replace(config, gamma=float(g))
         for i, t0 in enumerate(th):
-            res = geometric_phase(cfg, float(t0), profile=profile, tol=tol)
+            res = geometric_phase(cfg, float(t0), tol=tol)
             delta_abs[i, j] = abs(res.delta)
             ratio[i, j] = delta_abs[i, j] / res.phi_u if res.phi_u > 0 else np.nan
     return SurfaceResult(theta0=th, gamma=ga, ratio=ratio, delta_abs=delta_abs)

@@ -32,8 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bath import BathConfig, PhaseProfile, SpectralDensity, profile_from_config, \
-    spectral_total_weight
+from .bath import BathConfig, PhaseProfile, SpectralDensity, profile_from_config
 from .dephasing import DecoherenceCurve, METHOD_MC
 
 __all__ = [
@@ -131,7 +130,7 @@ def discretize_bath(density: SpectralDensity, profile: PhaseProfile,
     theta0 = np.asarray(profile(w), dtype=float)
     bath = DiscretizedBath(omega=w, coupling=coupling, theta0=theta0,
                            omega_max=float(omega_max), delta_omega=float(dw))
-    total = spectral_total_weight(density)
+    total = 4.0 * density.gamma * math.factorial(density.ohmicity)  # integral of I
     if total > 0:
         rel = abs(bath.covered_weight() - total) / total
         if rel > weight_warn:
@@ -214,7 +213,6 @@ def accumulated_phase(bath: DiscretizedBath, paths: np.ndarray,
 
 
 def mc_decoherence_factor(config: BathConfig, ensemble: EnsembleConfig,
-                          profile: Optional[PhaseProfile] = None,
                           phase_model: str = "endpoint") -> McCurve:
     """Ensemble estimate of the decoherence factor.
 
@@ -225,12 +223,11 @@ def mc_decoherence_factor(config: BathConfig, ensemble: EnsembleConfig,
     """
     if phase_model not in PHASE_MODELS:
         raise ValueError(f"phase_model must be one of {PHASE_MODELS}")
-    if profile is None:
-        profile = profile_from_config(config)
     omega_max = ensemble.omega_max if ensemble.omega_max is not None \
         else 20.0 * config.cutoff
     density = SpectralDensity.from_config(config)
-    bath = discretize_bath(density, profile, ensemble.n_modes, omega_max)
+    bath = discretize_bath(density, profile_from_config(config),
+                           ensemble.n_modes, omega_max)
 
     limits = [1.0 / omega_max]
     if config.diffusion > 0:

@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 
 import conftest
+from finite_difference import finite_difference_curvature, finite_difference_slope
 from neqbath.bath import BathConfig, PhaseDistribution, phase_distribution_eval
 from neqbath.cli import main as cli_main
 from neqbath.dephasing import (
@@ -32,10 +33,6 @@ from neqbath.montecarlo import (
     EnsembleConfig,
     mc_decoherence_factor,
     to_decoherence_curve,
-)
-from neqbath.numerics import (
-    finite_difference_curvature,
-    finite_difference_slope,
 )
 
 STRONG = dict(gamma=3.0, cutoff=1.0, diffusion=0.5, phase_lambda=1.0)

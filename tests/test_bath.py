@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from finite_difference import finite_difference_curvature, finite_difference_slope
 from neqbath.bath import (
     BathConfig,
     DeltaLimitError,
@@ -14,10 +15,9 @@ from neqbath.bath import (
     SpectralDensity,
     phase_distribution_eval,
     profile_from_config,
-    spectral_total_weight,
 )
-from neqbath.numerics import ConvergenceError, finite_difference_curvature, \
-    finite_difference_slope, integrate_finite
+from neqbath.montecarlo import discretize_bath
+from neqbath.numerics import integrate_finite
 
 
 def make_config(**kw):
@@ -65,22 +65,22 @@ class TestConfigValidation:
 class TestSpectralDensity:
     def test_ohmic_value_at_cutoff(self):
         # (4 * 1 / 1) * 1 * e^-1 at w = cutoff = 1
-        sd = SpectralDensity.power_law(gamma=1.0, cutoff=1.0, ohmicity=1)
+        sd = SpectralDensity(gamma=1.0, cutoff=1.0, ohmicity=1)
         assert sd(1.0) == pytest.approx(
             4.0 * math.exp(-1.0), rel=1e-15)
 
     def test_extreme_cutoff_does_not_overflow(self):
         # cutoff**2 used to raise OverflowError here
-        sd = SpectralDensity.power_law(gamma=1.0, cutoff=1e200, ohmicity=3)
+        sd = SpectralDensity(gamma=1.0, cutoff=1e200, ohmicity=3)
         assert sd(1e200) == pytest.approx(4e-200 * math.exp(-1.0), rel=1e-14)
 
     def test_supraohmic_value(self):
         # gamma=1, cutoff=2, n=3, w=2: (4/4) * 8/4 * e^-1 = 2 e^-1
-        sd = SpectralDensity.power_law(gamma=1.0, cutoff=2.0, ohmicity=3)
+        sd = SpectralDensity(gamma=1.0, cutoff=2.0, ohmicity=3)
         assert sd(2.0) == pytest.approx(2.0 * math.exp(-1.0), rel=1e-15)
 
     def test_zero_at_origin_and_negative_rejected(self):
-        sd = SpectralDensity.power_law(gamma=2.0, cutoff=1.5, ohmicity=1)
+        sd = SpectralDensity(gamma=2.0, cutoff=1.5, ohmicity=1)
         assert sd(0.0) == 0.0
         with pytest.raises(ValueError, match="omega"):
             sd(-0.1)
@@ -91,79 +91,28 @@ class TestSpectralDensity:
     @given(gamma=st.floats(0.0, 10.0), cutoff=st.floats(0.1, 10.0),
            ohmicity=st.integers(1, 4), w=st.floats(0.0, 100.0))
     def test_nonnegative_everywhere(self, gamma, cutoff, ohmicity, w):
-        sd = SpectralDensity.power_law(gamma, cutoff, ohmicity)
+        sd = SpectralDensity(gamma, cutoff, ohmicity)
         assert sd(w) >= 0.0
 
     def test_total_weight_closed_forms(self):
-        # 4 gamma n!
-        assert spectral_total_weight(
-            SpectralDensity.power_law(0.5, 1.0, 1)) == 2.0
-        assert spectral_total_weight(
-            SpectralDensity.power_law(1.0, 2.0, 3)) == 24.0
+        # discretize_bath measures its modes against the weight 4 gamma n!
+        for gamma, cutoff, n, total in ((0.5, 1.0, 1, "2"), (1.0, 2.0, 3, "24")):
+            with pytest.warns(UserWarning, match=f" of {total} spectral weight"):
+                discretize_bath(SpectralDensity(gamma, cutoff, n),
+                                PhaseProfile.linear(1.0), 4, 60.0)
 
     @pytest.mark.parametrize("gamma,cutoff,n", [(0.5, 1.0, 1), (3.0, 1.0, 3),
                                                 (1.7, 2.5, 2)])
     def test_total_weight_matches_quadrature(self, gamma, cutoff, n):
-        sd = SpectralDensity.power_law(gamma, cutoff, n)
+        sd = SpectralDensity(gamma, cutoff, n)
         ref = integrate_finite(sd, 0.0, 80.0 * cutoff, tol=1e-11)
         assert ref.converged
-        assert spectral_total_weight(sd) == pytest.approx(ref.value, rel=1e-9)
+        assert 4.0 * gamma * math.factorial(n) == pytest.approx(ref.value, rel=1e-9)
 
     def test_from_config(self):
         cfg = make_config(gamma=2.0, cutoff=0.5, ohmicity=3)
         sd = SpectralDensity.from_config(cfg)
         assert sd.gamma == 2.0 and sd.cutoff == 0.5 and sd.ohmicity == 3
-
-
-class TestTabulatedDensity:
-    def _table(self):
-        w = np.linspace(0.0, 12.0, 60)
-        ref = SpectralDensity.power_law(1.0, 1.0, 1)
-        return w, ref(w)
-
-    def test_interpolates_through_nodes(self):
-        w, v = self._table()
-        sd = SpectralDensity.from_table(w, v)
-        assert np.allclose(sd(w), v, rtol=0, atol=1e-14)
-
-    def test_zero_outside_support(self):
-        w, v = self._table()
-        sd = SpectralDensity.from_table(w, v)
-        assert sd(13.5) == 0.0
-        assert sd(200.0) == 0.0
-
-    def test_stays_nonnegative_between_nodes(self):
-        w, v = self._table()
-        sd = SpectralDensity.from_table(w, v)
-        dense = np.linspace(0.0, 12.0, 4001)
-        assert np.all(sd(dense) >= 0.0)
-
-    def test_weight_close_to_parent_density(self):
-        # the table covers [0, 12] of an ohmic density with weight 4;
-        # missing tail is ~6e-5, interpolation error smaller
-        w, v = self._table()
-        sd = SpectralDensity.from_table(w, v)
-        got = spectral_total_weight(sd)
-        tail = math.exp(-12.0) * 13.0  # int_12^inf w e^-w = (1+12) e^-12
-        assert got == pytest.approx(4.0 - 4.0 * tail, abs=5e-4)
-
-    def test_unresolvable_tolerance_raises_with_estimate(self):
-        w, v = self._table()
-        sd = SpectralDensity.from_table(w, v)
-        with pytest.raises(ConvergenceError) as exc_info:
-            spectral_total_weight(sd, tol=1e-30)
-        assert exc_info.value.result is not None
-        assert math.isfinite(exc_info.value.result.value)
-
-    def test_bad_tables_rejected(self):
-        with pytest.raises(ValueError, match="increasing"):
-            SpectralDensity.from_table([0.0, 1.0, 1.0], [1.0, 2.0, 1.0])
-        with pytest.raises(ValueError, match=">= 0"):
-            SpectralDensity.from_table([0.0, 1.0, 2.0], [1.0, -0.5, 1.0])
-        with pytest.raises(ValueError, match="matching"):
-            SpectralDensity.from_table([0.0, 1.0], [1.0, 2.0, 3.0])
-        with pytest.raises(ValueError, match=">= 0"):
-            SpectralDensity.from_table([-1.0, 1.0], [1.0, 1.0])
 
 
 class TestPhaseProfile:
@@ -176,15 +125,9 @@ class TestPhaseProfile:
         p = PhaseProfile.quadratic(0.5)
         assert p(3.0) == -4.5
 
-    def test_custom(self):
-        p = PhaseProfile.custom(lambda w: np.sin(w))
-        assert p(math.pi / 2.0) == pytest.approx(1.0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             PhaseProfile.linear(-1.0)
-        with pytest.raises(ValueError):
-            PhaseProfile("custom", func=None)
         with pytest.raises(ValueError):
             PhaseProfile("sawtooth", lam=1.0)
 
@@ -193,11 +136,8 @@ class TestPhaseProfile:
         quad = profile_from_config(make_config(phase_profile="quadratic",
                                                phase_lambda=0.7))
         assert quad.kind == "quadratic" and quad.lam == 0.7
-        with pytest.raises(ValueError, match="custom"):
-            profile_from_config(make_config(phase_profile="custom"))
-        got = profile_from_config(make_config(phase_profile="custom"),
-                                  custom=lambda w: 0.0 * w)
-        assert got.kind == "custom"
+        with pytest.raises(ValueError, match="phase_profile"):
+            make_config(phase_profile="custom")
 
 
 class TestPhaseDistribution:

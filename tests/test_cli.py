@@ -88,6 +88,18 @@ class TestDecoherenceCommand:
         assert len(data) == 10
         assert all(float(row[1]) == math.exp(-0.5 * weight) for row in data)
 
+    def test_huge_cutoff_at_the_delay(self, tmp_path):
+        # 4 cutoff^2 overflows, and at t = lam it meets s = 0 (inf * 0)
+        out = tmp_path / "huge.csv"
+        assert run_cli(["decoherence", "--cutoff", "1e200", "--grid", "0:2:1",
+                        "--out", str(out)]) == 0
+        _, data, _ = read_csv(out)
+        assert float(data[0][1]) == 1.0
+        # exp(-gamma (1 - e^{-4 D lam})) at the defaults
+        assert data[1][1] == "0.84802939745397565"
+        assert float(data[1][1]) == pytest.approx(
+            math.exp(-0.5 * (1.0 - math.exp(-0.4))), rel=1e-15)
+
     def test_no_dip_comment_when_flat(self, tmp_path):
         out = tmp_path / "curve.csv"
         run_cli(["decoherence", "--gamma", "0", "--grid", "0:2:0.1", "--dip",
@@ -301,6 +313,22 @@ class TestReproduceFigure:
         assert run_cli(["reproduce-figure", "9"]) == 2
 
 
+class TestFiguresShareSubcommands:
+    """Each figure is a canned run of the subcommand that makes its table."""
+
+    @pytest.mark.parametrize("number,name,argv", [
+        (4, "fig4_surface", ["--mode", "surface", "--gamma-grid", "0:2:0.1"]),
+        (7, "fig7_lambda", ["--mode", "lambda", "--gamma", "3", "--theta0-grid",
+                            f"{math.pi / 8!r}:{3 * math.pi / 8!r}:{math.pi / 8!r}"]),
+    ])
+    def test_figure_csv_is_the_gp_output(self, number, name, argv, tmp_path):
+        assert run_cli(["reproduce-figure", str(number),
+                        "--out-dir", str(tmp_path)]) == 0
+        out = tmp_path / "gp.csv"
+        assert run_cli(["gp", *argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / f"{name}.csv").read_bytes()
+
+
 class TestEntryPoint:
     def test_console_script_runs(self):
         # the child imports the package under test, installed or not
@@ -310,6 +338,24 @@ class TestEntryPoint:
                                "--version"], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
+
+    def test_runtime_loads_no_scipy(self, tmp_path):
+        src = str(Path(neqbath.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "\n".join([
+            "import sys",
+            "import neqbath",
+            "from neqbath.cli import main",
+            f"assert main(['reproduce-figure', '3', '--out-dir', {str(tmp_path)!r}]) == 0",
+            "assert main(['mc', '--n-modes', '8', '--n-trajectories', '2', '--horizon',"
+            f" '0.5', '--dt', '0.1', '--out', {str(tmp_path / 'mc.csv')!r}]) == 0",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ])
+        proc = subprocess.run([sys.executable, "-W", "ignore", "-c", code],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 # commands that ended in a traceback before they were given exit code 2

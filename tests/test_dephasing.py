@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from neqbath.bath import BathConfig, PhaseProfile
+from neqbath.bath import BathConfig
 from neqbath.dephasing import (
     METHOD_CLOSED,
     METHOD_QUADRATURE,
@@ -133,13 +133,11 @@ class TestQuadrature:
         assert res.value == pytest.approx(beta_closed(2.0, cfg(FIG1)), abs=1e-10)
 
     def test_profile_shift_matches_closed_form(self):
-        # quadrature with an explicit delayed profile must equal the
-        # closed form evaluated at that delay
+        # quadrature at a longer delay must equal the closed form there
         c = cfg(FIG2)
         shifted = dataclasses.replace(c, phase_lambda=2.5)
-        prof = PhaseProfile.linear(2.5)
         for t in (0.5, 1.7, 3.0):
-            got = beta_quadrature(t, c, profile=prof).value
+            got = beta_quadrature(t, shifted).value
             assert got == pytest.approx(beta_closed(t, shifted), abs=1e-9)
 
 
@@ -184,7 +182,7 @@ class TestTruncatedQuadrature:
     @pytest.mark.parametrize("t", [0.02, 0.5, 3.0, 10.0])
     def test_initial_grid_meets_width_rule(self, t, lam, upper):
         c = cfg(FIG3, phase_lambda=lam)
-        hint, chirp = _oscillation_controls(t, c, PhaseProfile.quadratic(lam))
+        hint, chirp = _oscillation_controls(t, c)
         edges = _initial_edges(upper, hint, chirp)
         widths = np.diff(edges)
         floor = upper / 8192.0
@@ -200,7 +198,7 @@ class TestTruncatedQuadrature:
         assert len(edges) <= 1.05 * len(greedy) + 3
 
     def test_linear_grid_is_uniform_below_half_period(self):
-        hint, chirp = _oscillation_controls(3.0, cfg(FIG2), PhaseProfile.linear(1.0))
+        hint, chirp = _oscillation_controls(3.0, cfg(FIG2))
         assert chirp == 0.0
         widths = np.diff(_initial_edges(40.0, hint, chirp))
         assert np.all(widths <= hint / 2.0 * (1.0 + 1e-12))
@@ -286,13 +284,6 @@ class TestDispatch:
             decoherence_factor(ts, cfg(FIG2, ohmicity=2), method=METHOD_CLOSED)
         with pytest.raises(ValueError, match="method"):
             decoherence_factor(ts, cfg(FIG2), method="simpson")
-
-    def test_explicit_profile_delay_wins(self):
-        ts = np.arange(0.0, 4.01, 0.5)
-        got = decoherence_factor(ts, cfg(FIG2), profile=PhaseProfile.linear(2.0))
-        assert got.method == METHOD_CLOSED
-        want = np.exp(-beta_closed(ts, cfg(FIG2, phase_lambda=2.0)))
-        assert np.allclose(got.values, want, rtol=0, atol=1e-15)
 
     def test_bad_grids_rejected(self):
         with pytest.raises(ValueError):

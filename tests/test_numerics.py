@@ -11,12 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from neqbath.numerics import (
-    finite_difference_curvature,
-    finite_difference_slope,
-    integrate_finite,
-    integrate_semi_infinite,
-)
+from finite_difference import finite_difference_curvature, finite_difference_slope
+from neqbath.numerics import integrate_finite, integrate_semi_infinite
 
 
 def test_exponential_moment():
