@@ -23,7 +23,6 @@ from .dephasing import (
     METHOD_QUADRATURE,
     DecoherenceCurve,
     DipReport,
-    asymptotic_factor,
     beta_closed,
     beta_integrand,
     beta_quadrature,

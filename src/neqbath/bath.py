@@ -120,14 +120,6 @@ class PhaseProfile:
         self.kind = kind
         self.lam = lam
 
-    @classmethod
-    def linear(cls, lam: float) -> "PhaseProfile":
-        return cls("linear", lam)
-
-    @classmethod
-    def quadratic(cls, lam: float) -> "PhaseProfile":
-        return cls("quadratic", lam)
-
     def __call__(self, omega):
         w = np.asarray(omega, dtype=float)
         out = -self.lam * w if self.kind == "linear" else -self.lam * w * w

@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -41,16 +41,6 @@ UNDEFINED_NORM = "undefined-normalization"
 
 class ConfigError(Exception):
     """Bad user input: unknown keys, malformed grids, out-of-range values."""
-
-
-# every key a JSON config file may carry; anything else is rejected so
-# typos fail loudly instead of silently running defaults
-_ALLOWED_KEYS = {
-    "gamma", "cutoff", "diffusion", "phase_lambda", "ohmicity", "omega",
-    "profile", "theta0", "grid", "seed", "n_modes", "n_trajectories", "dt",
-    "horizon", "times", "nx", "theta0_grid", "gamma_grid", "lambda_grid",
-    "mode",
-}
 
 
 @dataclass
@@ -100,6 +90,11 @@ class RunConfig:
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+
+
+# every key a JSON config file may carry; anything else is rejected so
+# typos fail loudly instead of silently running defaults
+_ALLOWED_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def _parse_grid(text: str) -> tuple:

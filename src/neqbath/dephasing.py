@@ -9,9 +9,11 @@ The off-diagonal element of the qubit density matrix decays as
 The bracket is (1 - e)(1 + e cos(...)) with e = exp(-2 D t), which is
 nonnegative, so beta >= 0 and |F| <= 1 for every parameter choice.
 
-For the linear phase profile and ohmicity 1 or 3 the frequency integral
-has a closed form; everything else goes through adaptive quadrature.
-beta_values makes that choice for every caller.
+For the linear phase profile the frequency integral is a Laplace
+transform with one closed form for every ohmicity; the quadratic
+profile goes through adaptive quadrature, which also serves as the
+independent cross-check.  beta_values makes that choice for every
+caller.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ __all__ = [
     "beta_closed",
     "beta_values",
     "decoherence_factor",
-    "asymptotic_factor",
     "find_dip",
 ]
 
@@ -51,6 +52,8 @@ _OSC_AMP_FLOOR = 1e-14
 
 # share of the tolerance left to the truncated frequency tail
 _TAIL_SHARE = 0.1
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -99,41 +102,34 @@ def beta_integrand(omega, t: float, config: BathConfig):
     return out
 
 
-def _closed_q(s, cutoff, ohmicity):
-    with np.errstate(over="ignore", invalid="ignore"):
-        # once 4 cutoff^2 overflows, s = 0 gives inf * 0; u is 0 there
-        u = np.where(s == 0.0, 0.0, 4.0 * cutoff * cutoff * s * s)
-        if ohmicity == 1:
-            q = (1.0 - u) / (1.0 + u) ** 2
-        else:
-            q = (1.0 - 6.0 * u + u * u) / (1.0 + u) ** 4
-    # q -> 0 as u -> inf (not inf/inf); past 1e100 q is below beta's rounding
-    return np.where(u > 1e100, 0.0, q)
-
-
 def beta_closed(t, config: BathConfig):
-    """Closed-form beta(t) for ohmicity 1 or 3 with the linear profile.
+    """Closed-form beta(t) for the linear profile, any ohmicity n.
 
-    Built from the Laplace transforms of w * exp(-a w) * cos(b w) and
-    w^3 * exp(-a w) * cos(b w); only the retarded time s = t - lam enters
-    the oscillatory piece.
+    The frequency integral is the Laplace transform of
+    w^n exp(-w / cutoff) cos(2 w (t - lam)): with y = 2 cutoff (t - lam),
+    k = n + 1 and a = 1 - exp(-2 D t),
+
+        q = Re (1 - i y)^-k = cos(k atan y) / (1 + y^2)^(k/2),
+        beta = gamma n! a (1 + (1 - a) q).
+
+    n! a (...) <= 2 n! is finite, so beta is 0 at t = 0 for any gamma,
+    and beta -> gamma n! as t -> inf.
     """
     if config.phase_profile != "linear":
         raise ValueError(
             f"closed form requires the linear phase profile, config has "
             f"{config.phase_profile!r}"
         )
-    if config.ohmicity not in (1, 3):
-        raise ValueError(
-            f"closed form exists for ohmicity 1 or 3, got {config.ohmicity}"
-        )
     ta = np.asarray(t, dtype=float)
-    s = ta - config.phase_lambda
-    e2 = np.exp(-2.0 * config.diffusion * ta)
-    e4 = e2 * e2
-    q = _closed_q(s, config.cutoff, config.ohmicity)
-    beta = (6.0 * config.gamma if config.ohmicity == 3 else config.gamma) * (
-        (1.0 - e2) + (e2 - e4) * q)
+    k = config.ohmicity + 1
+    # y = +-inf at a huge cutoff gives q = 0, its limit; beta = inf past
+    # the largest double, where |F| = exp(-beta) is 0 all the same
+    with np.errstate(over="ignore"):
+        y = 2.0 * config.cutoff * (ta - config.phase_lambda)
+        q = np.cos(k * np.arctan(y)) * (1.0 / np.hypot(1.0, y)) ** k
+        a = -np.expm1(-2.0 * config.diffusion * ta)
+        beta = config.gamma * (float(math.factorial(config.ohmicity)) * a
+                               * (1.0 + (1.0 - a) * q))
     if np.isscalar(t) or np.ndim(t) == 0:
         return float(beta)
     return beta
@@ -233,27 +229,27 @@ def beta_values(times, config: BathConfig, tol: float,
                 method: Optional[str] = None):
     """beta on a 1-D time grid as (values, errors, route): the one dispatch.
 
-    The closed form applies when ohmicity is 1 or 3 and the profile is
-    linear; method can force either route (forcing the closed form on an
-    unsupported config raises).  Errors are float-rounding scale,
-    eps (1 + beta), for the closed form and the quadrature error, to
-    absolute tolerance tol, otherwise.
+    The closed form applies whenever the profile is linear; method can
+    force either route (forcing the closed form on the quadratic profile
+    raises).  The closed form's error bounds its rounding,
+    eps (4 beta + 2 (n + 1) gamma n! a (1 - a)) with a = 1 - exp(-2 D t);
+    the quadrature's is its own, to absolute tolerance tol.
     """
     ta = np.asarray(times, dtype=float)
     if ta.ndim != 1:
         raise ValueError("times must be a 1-D array")
     if (ta < 0).any():  # cheaper than np.any; the GP calls this per panel batch
         raise ValueError("times must be >= 0")
-    closed_ok = config.phase_profile == "linear" and config.ohmicity in (1, 3)
     if method is None:
-        method = METHOD_CLOSED if closed_ok else METHOD_QUADRATURE
+        method = METHOD_CLOSED if config.phase_profile == "linear" else METHOD_QUADRATURE
     if method == METHOD_CLOSED:
-        if not closed_ok:
-            raise ValueError(
-                "closed form unavailable: needs linear profile and ohmicity 1 or 3"
-            )
         beta = beta_closed(ta, config)
-        return beta, np.finfo(float).eps * (1.0 + beta), METHOD_CLOSED
+        k = config.ohmicity + 1
+        a = -np.expm1(-2.0 * config.diffusion * ta)
+        with np.errstate(over="ignore"):  # overflows only where beta is inf
+            errors = (4.0 * _EPS) * beta + (config.gamma * a) * (1.0 - a) * (
+                2.0 * k * _EPS * math.factorial(k - 1))
+        return beta, errors, METHOD_CLOSED
     if method != METHOD_QUADRATURE:
         raise ValueError(f"unknown method {method!r}")
     beta = np.empty_like(ta)
@@ -269,24 +265,13 @@ def decoherence_factor(times, config: BathConfig, tol: float = 1e-10,
                        method: Optional[str] = None) -> DecoherenceCurve:
     """|F| = exp(-beta) over a time grid, with beta from beta_values.
 
-    The error on |F| is |F| times the error on beta.
+    The error on |F| is |F| times the error on beta, and 0 where |F|
+    underflows to 0 (beta may be inf there).
     """
     beta, errors, route = beta_values(times, config, tol, method)
     values = np.exp(-beta)
     return DecoherenceCurve(np.asarray(times, dtype=float), values,
-                            errors * values, route)
-
-
-def asymptotic_factor(config: BathConfig) -> float:
-    """Long-time plateau of |F|.
-
-    As t -> inf the oscillatory term dies and beta -> total weight / 4
-    = gamma * n!.  With no diffusion nothing decays and the factor
-    stays at 1.
-    """
-    if config.diffusion == 0.0:
-        return 1.0
-    return math.exp(-config.gamma * math.factorial(config.ohmicity))
+                            np.where(values > 0.0, errors, 0.0) * values, route)
 
 
 def find_dip(curve: DecoherenceCurve) -> Optional[DipReport]:

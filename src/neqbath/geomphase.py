@@ -173,8 +173,7 @@ def unitary_phase(state: Union[QubitState, float]) -> float:
 
 
 def geometric_phase(config: BathConfig, state: Union[QubitState, float],
-                    tol: float = 1e-9,
-                    beta_tol: float = 1e-12) -> GPResult:
+                    tol: float = 1e-9) -> GPResult:
     """GP of one quasi-cycle with the bath on.
 
     Integrates Omega * (cos(theta_+)^2 - cos(theta0/2)^2) over the cycle
@@ -187,7 +186,7 @@ def geometric_phase(config: BathConfig, state: Union[QubitState, float],
     base = math.cos(0.5 * theta0) ** 2
 
     def integrand(ts):
-        cosp, _ = bloch_angle(np.exp(-beta_values(ts, config, beta_tol)[0]), theta0)
+        cosp, _ = bloch_angle(np.exp(-beta_values(ts, config, 1e-12)[0]), theta0)
         return config.omega * (cosp * cosp - base)
 
     if config.gamma == 0.0 or config.diffusion == 0.0:

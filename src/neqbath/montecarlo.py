@@ -112,12 +112,11 @@ class McCurve:
 
 
 def discretize_bath(density: SpectralDensity, profile: PhaseProfile,
-                    n_modes: int, omega_max: float,
-                    weight_warn: float = 0.01) -> DiscretizedBath:
+                    n_modes: int, omega_max: float) -> DiscretizedBath:
     """Midpoint-grid mode decomposition of a spectral density.
 
     Warns when the modes fail to carry the full spectral weight to
-    within weight_warn (grid too coarse or omega_max too small), since
+    within 1% (grid too coarse or omega_max too small), since
     missing weight directly biases the sampled decoherence.
     """
     if n_modes < 1:
@@ -133,7 +132,7 @@ def discretize_bath(density: SpectralDensity, profile: PhaseProfile,
     total = 4.0 * density.gamma * math.factorial(density.ohmicity)  # integral of I
     if total > 0:
         rel = abs(bath.covered_weight() - total) / total
-        if rel > weight_warn:
+        if rel > 0.01:
             warnings.warn(
                 f"discretized modes carry {bath.covered_weight():.6g} of "
                 f"{total:.6g} spectral weight (off by {rel:.1%}); increase "

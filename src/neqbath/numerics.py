@@ -140,7 +140,6 @@ def integrate_finite(
     a: float,
     b: float,
     tol: float = 1e-10,
-    initial_panels: int = 8,
     max_panels: int = 10_000,
 ) -> QuadratureResult:
     """Adaptive integral of f over [a, b] to absolute tolerance tol.
@@ -152,7 +151,7 @@ def integrate_finite(
         raise ValueError("integration interval must satisfy b > a")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    edges = np.linspace(a, b, initial_panels + 1)
+    edges = np.linspace(a, b, 9)  # 8 equal initial panels
     return _adapt(f, edges[:-1], edges[1:], tol, max_panels)
 
 

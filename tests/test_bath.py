@@ -99,7 +99,7 @@ class TestSpectralDensity:
         for gamma, cutoff, n, total in ((0.5, 1.0, 1, "2"), (1.0, 2.0, 3, "24")):
             with pytest.warns(UserWarning, match=f" of {total} spectral weight"):
                 discretize_bath(SpectralDensity(gamma, cutoff, n),
-                                PhaseProfile.linear(1.0), 4, 60.0)
+                                PhaseProfile("linear", 1.0), 4, 60.0)
 
     @pytest.mark.parametrize("gamma,cutoff,n", [(0.5, 1.0, 1), (3.0, 1.0, 3),
                                                 (1.7, 2.5, 2)])
@@ -117,17 +117,17 @@ class TestSpectralDensity:
 
 class TestPhaseProfile:
     def test_linear(self):
-        p = PhaseProfile.linear(2.0)
+        p = PhaseProfile("linear", 2.0)
         assert p(3.0) == -6.0
         assert np.allclose(p(np.array([0.0, 1.0])), [0.0, -2.0])
 
     def test_quadratic(self):
-        p = PhaseProfile.quadratic(0.5)
+        p = PhaseProfile("quadratic", 0.5)
         assert p(3.0) == -4.5
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PhaseProfile.linear(-1.0)
+            PhaseProfile("linear", -1.0)
         with pytest.raises(ValueError):
             PhaseProfile("sawtooth", lam=1.0)
 

@@ -100,6 +100,26 @@ class TestDecoherenceCommand:
         assert float(data[1][1]) == pytest.approx(
             math.exp(-0.5 * (1.0 - math.exp(-0.4))), rel=1e-15)
 
+    @pytest.mark.parametrize("ohmicity", [10, 20])
+    def test_high_ohmicity_takes_the_closed_form(self, ohmicity, tmp_path):
+        out = tmp_path / "high.csv"
+        assert run_cli(["decoherence", "--ohmicity", str(ohmicity),
+                        "--grid", "0:2:0.5", "--out", str(out)]) == 0
+        _, data, _ = read_csv(out)
+        assert len(data) == 5
+        assert all(row[3] == "closed-form" for row in data)
+
+    def test_forced_closed_form_agrees_with_quadrature(self, tmp_path):
+        curves = {}
+        for method in ("closed-form", "quadrature"):
+            out = tmp_path / f"{method}.csv"
+            assert run_cli(["decoherence", "--ohmicity", "2", "--method", method,
+                            "--grid", "0:5:0.25", "--out", str(out)]) == 0
+            curves[method] = read_csv(out)[1]
+        for closed, quad in zip(curves["closed-form"], curves["quadrature"]):
+            assert closed[3] == "closed-form" and quad[3] == "quadrature"
+            assert abs(float(closed[1]) - float(quad[1])) <= float(quad[2]), closed[0]
+
     def test_no_dip_comment_when_flat(self, tmp_path):
         out = tmp_path / "curve.csv"
         run_cli(["decoherence", "--gamma", "0", "--grid", "0:2:0.1", "--dip",

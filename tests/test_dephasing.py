@@ -7,6 +7,7 @@ route, against symbolic special points, and against the long-time limit.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,10 +21,10 @@ from neqbath.dephasing import (
     _log_upper_gamma,
     _oscillation_controls,
     _tail_cutoff,
-    asymptotic_factor,
     beta_closed,
     beta_integrand,
     beta_quadrature,
+    beta_values,
     decoherence_factor,
     find_dip,
 )
@@ -65,11 +66,40 @@ class TestClosedForm:
                 worst = max(worst, float(np.max(np.abs(bc - bq))))
         assert worst < 1e-8
 
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_any_ohmicity_matches_quadrature(self, n):
+        ts = np.arange(0.0, 10.01, 0.5)
+        for params in (FIG1, FIG2):
+            c = cfg(params, ohmicity=n)
+            beta, err, route = beta_values(ts, c, 1e-10)
+            assert route == METHOD_CLOSED
+            for t, b, e in zip(ts, beta, err):
+                res = beta_quadrature(float(t), c)
+                assert abs(b - res.value) <= res.error + e, (params, t)
+
+    def test_largest_ohmicity_at_huge_scales(self):
+        # y = 2 cutoff (t - lam) overflows off the delay (q = 0 there);
+        # with a tiny D, gamma n! a stays below the largest double
+        c = BathConfig(gamma=1e300, cutoff=1e300, diffusion=1e-300,
+                       phase_lambda=1.0, ohmicity=170)
+        ts = np.array([0.0, 0.5, 1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beta, err, _ = beta_values(ts, c, 1e-10)
+            assert np.all(np.isfinite(beta)) and np.all(np.isfinite(err))
+            assert beta[0] == 0.0 and err[0] == 0.0
+            # gamma n! a (1 + q) with gamma a = 2 t and q = 1 only at t = lam
+            for t, b, q in zip(ts[1:], beta[1:], (0.0, 1.0, 0.0)):
+                want = 2.0 * t * float(math.factorial(170)) * (1.0 + q)
+                assert b == pytest.approx(want, rel=1e-12)
+            # at D = 0.1 beta overflows; |F| is 0 with error 0, not NaN
+            curve = decoherence_factor(ts, dataclasses.replace(c, diffusion=0.1))
+        assert list(curve.values) == [1.0, 0.0, 0.0, 0.0]
+        assert list(curve.errors) == [0.0, 0.0, 0.0, 0.0]
+
     def test_wrapper_misuse_errors(self):
         with pytest.raises(ValueError, match="linear"):
             beta_closed(1.0, cfg(FIG1, phase_profile="quadratic"))
-        with pytest.raises(ValueError, match="ohmicity"):
-            beta_closed(1.0, cfg(FIG1, ohmicity=2))
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(gamma=st.floats(0.0, 5.0), cutoff=st.floats(0.2, 5.0),
@@ -88,6 +118,44 @@ class TestClosedForm:
         c = cfg(FIG1)
         ratio = beta_closed(2e-3, c) / beta_closed(1e-3, c)
         assert ratio == pytest.approx(2.0, rel=0.01)
+
+
+class TestClosedFormError:
+    """beta_values' closed-form error against a 50-digit evaluation."""
+
+    # (gamma, D, lam, cutoff); the last keeps a = 1 - e^(-2 D t) a normal
+    # float while gamma n! a overflows at late times (those are skipped)
+    SETS = [(3.0, 0.5, 1.0, 1.0), (0.5, 0.1, 1.0, 1.0), (1.0, 1e-3, 2.5, 3.0),
+            (1e-3, 5.0, 0.0, 0.2), (2.0, 0.05, 7.0, 10.0),
+            (1e300, 1e-296, 1.0, 1e300)]
+
+    @staticmethod
+    def exact_beta(t, gamma, diffusion, lam, cutoff, n):
+        import mpmath as mp
+        t = mp.mpf(float(t))
+        y = 2 * mp.mpf(cutoff) * (t - mp.mpf(lam))
+        a = -mp.expm1(-2 * mp.mpf(diffusion) * t)
+        q = mp.re((1 - 1j * y) ** (-(n + 1)))
+        return mp.mpf(gamma) * mp.factorial(n) * a * (1 + (1 - a) * q)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 20, 60, 170])
+    def test_error_covers_exact_value(self, n):
+        import mpmath as mp
+        ts = np.concatenate([np.logspace(-12.0, 4.0, 33),
+                             np.arange(0.0, 12.01, 0.25)])
+        checked = 0
+        with mp.workdps(50):
+            for gamma, diffusion, lam, cutoff in self.SETS:
+                c = BathConfig(gamma=gamma, cutoff=cutoff, diffusion=diffusion,
+                               phase_lambda=lam, ohmicity=n)
+                beta, err, _ = beta_values(ts, c, 1e-10)
+                for t, b, e in zip(ts, beta, err):
+                    if not math.isfinite(b):
+                        continue
+                    exact = self.exact_beta(t, gamma, diffusion, lam, cutoff, n)
+                    assert abs(mp.mpf(float(b)) - exact) <= e, (c, t)
+                    checked += 1
+        assert checked >= 5 * len(ts)
 
 
 class TestIntegrand:
@@ -257,10 +325,12 @@ class TestTruncatedQuadrature:
         # not a bare ValueError
         with pytest.raises(ConvergenceError, match="non-finite"):
             beta_quadrature(0.5, cfg(FIG3, ohmicity=170))
-        assert asymptotic_factor(cfg(FIG3, ohmicity=170)) == 0.0
-        tiny = cfg(FIG3, gamma=1e-307, ohmicity=170)
+        # the plateau exp(-gamma n!), reached by the linear closed form
+        late = cfg(FIG3, phase_profile="linear", ohmicity=170)
+        assert math.exp(-beta_closed(1e4, late)) == 0.0
+        tiny = dataclasses.replace(late, gamma=1e-307)
         want = math.exp(-math.exp(math.log(1e-307) + math.lgamma(171)))
-        assert asymptotic_factor(tiny) == pytest.approx(want, rel=1e-12)
+        assert math.exp(-beta_closed(1e4, tiny)) == pytest.approx(want, rel=1e-12)
 
 
 class TestDispatch:
@@ -268,7 +338,7 @@ class TestDispatch:
         ts = np.arange(0.0, 3.01, 0.5)
         assert decoherence_factor(ts, cfg(FIG2)).method == METHOD_CLOSED
         assert decoherence_factor(ts, cfg(FIG2, ohmicity=2)).method \
-            == METHOD_QUADRATURE
+            == METHOD_CLOSED
         assert decoherence_factor(
             ts, cfg(FIG2, phase_profile="quadratic")).method == METHOD_QUADRATURE
 
@@ -281,7 +351,7 @@ class TestDispatch:
     def test_forcing_closed_on_unsupported_raises(self):
         ts = np.arange(0.0, 1.01, 0.5)
         with pytest.raises(ValueError, match="closed form"):
-            decoherence_factor(ts, cfg(FIG2, ohmicity=2), method=METHOD_CLOSED)
+            decoherence_factor(ts, cfg(FIG3), method=METHOD_CLOSED)
         with pytest.raises(ValueError, match="method"):
             decoherence_factor(ts, cfg(FIG2), method="simpson")
 
@@ -305,14 +375,14 @@ class TestAsymptotics:
         c1 = cfg(FIG2)
         assert math.exp(-beta_closed(200.0, c1)) == pytest.approx(
             math.exp(-0.5), abs=1e-10)
-        assert asymptotic_factor(c1) == math.exp(-0.5)
+        assert math.exp(-beta_closed(1e4, c1)) == math.exp(-c1.gamma * math.factorial(1))
         c3 = cfg(FIG1, ohmicity=3)
         got = math.exp(-beta_closed(200.0, c3))
         assert got == pytest.approx(math.exp(-18.0), rel=1e-8)
-        assert asymptotic_factor(c3) == math.exp(-18.0)
+        assert math.exp(-beta_closed(1e4, c3)) == math.exp(-c3.gamma * math.factorial(3))
 
     def test_no_diffusion_plateau_is_one(self):
-        assert asymptotic_factor(cfg(FIG2, diffusion=0.0)) == 1.0
+        assert math.exp(-beta_closed(1e4, cfg(FIG2, diffusion=0.0))) == 1.0
 
 
 class TestFindDip:

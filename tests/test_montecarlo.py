@@ -33,7 +33,7 @@ CFG = BathConfig(gamma=0.3, cutoff=1.0, diffusion=0.2, phase_lambda=1.0)
 class TestDiscretize:
     def test_midpoint_grid_and_profile(self):
         sd = SpectralDensity(0.5, 1.0, 1)
-        bath = discretize_bath(sd, PhaseProfile.linear(1.0), 128, 20.0)
+        bath = discretize_bath(sd, PhaseProfile("linear", 1.0), 128, 20.0)
         assert bath.delta_omega == pytest.approx(20.0 / 128)
         assert bath.omega[0] == pytest.approx(bath.delta_omega / 2.0)
         assert np.allclose(bath.theta0, -bath.omega)
@@ -42,25 +42,25 @@ class TestDiscretize:
     @pytest.mark.parametrize("gamma,n,weight", [(0.5, 1, 2.0), (3.0, 3, 72.0)])
     def test_covered_weight_near_total(self, gamma, n, weight):
         sd = SpectralDensity(gamma, 1.0, n)
-        bath = discretize_bath(sd, PhaseProfile.linear(1.0), 512, 60.0)
+        bath = discretize_bath(sd, PhaseProfile("linear", 1.0), 512, 60.0)
         assert bath.covered_weight() == pytest.approx(weight, rel=0.01)
 
     def test_zero_coupling_limit(self):
         sd = SpectralDensity(0.0, 1.0, 1)
-        bath = discretize_bath(sd, PhaseProfile.linear(1.0), 32, 20.0)
+        bath = discretize_bath(sd, PhaseProfile("linear", 1.0), 32, 20.0)
         assert np.all(bath.coupling == 0.0)
 
     def test_coarse_grid_warns(self):
         sd = SpectralDensity(0.5, 1.0, 1)
         with pytest.warns(UserWarning, match="spectral weight"):
-            discretize_bath(sd, PhaseProfile.linear(1.0), 4, 60.0)
+            discretize_bath(sd, PhaseProfile("linear", 1.0), 4, 60.0)
 
     def test_bad_arguments(self):
         sd = SpectralDensity(0.5, 1.0, 1)
         with pytest.raises(ValueError):
-            discretize_bath(sd, PhaseProfile.linear(1.0), 0, 20.0)
+            discretize_bath(sd, PhaseProfile("linear", 1.0), 0, 20.0)
         with pytest.raises(ValueError):
-            discretize_bath(sd, PhaseProfile.linear(1.0), 16, 0.0)
+            discretize_bath(sd, PhaseProfile("linear", 1.0), 16, 0.0)
 
 
 def built_paths(diffusion, dt, horizon, seed, n_modes=1):
