@@ -101,12 +101,7 @@ def _parse_grid(text: str) -> tuple:
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid must be start:stop:step, got {text!r}")
-    try:
-        start, stop, step = (float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"grid components must be numbers: {text!r}") from exc
-    _check_grid((start, stop, step))
-    return (start, stop, step)
+    return _check_grid(parts)
 
 
 def _check_grid(grid) -> tuple:

@@ -232,8 +232,8 @@ def beta_values(times, config: BathConfig, tol: float,
     The closed form applies whenever the profile is linear; method can
     force either route (forcing the closed form on the quadratic profile
     raises).  The closed form's error bounds its rounding,
-    eps (4 beta + 2 (n + 1) gamma n! a (1 - a)) with a = 1 - exp(-2 D t);
-    the quadrature's is its own, to absolute tolerance tol.
+    eps (4 beta + 2 (n + 1) gamma n! a (1 - a)) with a = 1 - exp(-2 D t),
+    plus 2^-1073 gamma n! where a is subnormal; the quadrature's, to tol.
     """
     ta = np.asarray(times, dtype=float)
     if ta.ndim != 1:
@@ -249,6 +249,9 @@ def beta_values(times, config: BathConfig, tol: float,
         with np.errstate(over="ignore"):  # overflows only where beta is inf
             errors = (4.0 * _EPS) * beta + (config.gamma * a) * (1.0 - a) * (
                 2.0 * k * _EPS * math.factorial(k - 1))
+        # a subnormal a is rounded to an absolute 2^-1074, not to eps a
+        errors += np.where((a > 0) & (a < np.finfo(float).tiny),
+                           config.gamma * (math.factorial(k - 1) * 2.0 ** -1073), 0.0)
         return beta, errors, METHOD_CLOSED
     if method != METHOD_QUADRATURE:
         raise ValueError(f"unknown method {method!r}")

@@ -172,37 +172,53 @@ def unitary_phase(state: Union[QubitState, float]) -> float:
     return math.pi * (1.0 + math.cos(_theta0_of(state)))
 
 
+def _cycle_corrections(config: BathConfig, theta0: float, gammas,
+                       tol: float):
+    """Cycle corrections delta = Omega * int (cos(theta_+)^2 - cos(theta0/2)^2) dt
+    and their errors, to absolute tol, for every coupling in gammas at once.
+
+    beta is linear in gamma: each node batch takes beta once, at gamma = 1
+    and tol 1e-12 / max gamma.  Couplings 0, and all of them at D = 0, give 0.
+    """
+    g = np.asarray(gammas, dtype=float)
+    if not np.all(np.isfinite(g) & (g >= 0)):
+        raise ValueError(f"gamma must be finite and >= 0, got {g}")
+    delta, err = np.zeros(len(g)), np.zeros(len(g))
+    live = (g > 0) & (config.diffusion > 0)
+    if not live.any():
+        return delta, err
+    unit = dataclasses.replace(config, gamma=1.0)
+    col = g[live][:, None]
+    base = math.cos(0.5 * theta0) ** 2
+
+    def integrand(ts):
+        with np.errstate(over="ignore"):  # gamma beta past the largest double: F = 0
+            beta = col * beta_values(ts, unit, 1e-12 / col.max())[0]
+        cosp, _ = bloch_angle(np.exp(-beta), theta0)
+        return config.omega * (cosp * cosp - base)
+
+    res = integrate_finite(integrand, 0.0, 2.0 * math.pi / config.omega, tol=tol)
+    if not res.converged:
+        raise ConvergenceError(
+            f"geometric-phase integral stalled at error {res.error.max():.3e}",
+            result=res,
+        )
+    delta[live], err[live] = res.value, res.error
+    return delta, err
+
+
 def geometric_phase(config: BathConfig, state: Union[QubitState, float],
                     tol: float = 1e-9) -> GPResult:
     """GP of one quasi-cycle with the bath on.
 
-    Integrates Omega * (cos(theta_+)^2 - cos(theta0/2)^2) over the cycle
-    to absolute tolerance tol; phi_g is phi_u plus that correction.  The
-    polar states theta0 = 0, pi have identically zero correction and
-    fall out of the same code path.
+    phi_g is phi_u plus the correction delta of _cycle_corrections, to
+    absolute tolerance tol; the polar states theta0 = 0, pi get delta = 0.
     """
     theta0 = _theta0_of(state)
-    period = 2.0 * math.pi / config.omega
-    base = math.cos(0.5 * theta0) ** 2
-
-    def integrand(ts):
-        cosp, _ = bloch_angle(np.exp(-beta_values(ts, config, 1e-12)[0]), theta0)
-        return config.omega * (cosp * cosp - base)
-
-    if config.gamma == 0.0 or config.diffusion == 0.0:
-        # F is identically 1: no correction, skip the integral
-        phi_u = unitary_phase(theta0)
-        return GPResult(phi_g=phi_u, phi_u=phi_u, delta=0.0, tol=0.0)
-
-    res = integrate_finite(integrand, 0.0, period, tol=tol)
-    if not res.converged:
-        raise ConvergenceError(
-            f"geometric-phase integral stalled at error {res.error:.3e}",
-            result=res,
-        )
+    delta, err = _cycle_corrections(config, theta0, [config.gamma], tol)
     phi_u = unitary_phase(theta0)
-    return GPResult(phi_g=phi_u + res.value, phi_u=phi_u,
-                    delta=res.value, tol=res.error)
+    return GPResult(phi_g=phi_u + float(delta[0]), phi_u=phi_u,
+                    delta=float(delta[0]), tol=float(err[0]))
 
 
 def first_order_coefficient(config: BathConfig) -> float:
@@ -292,12 +308,11 @@ def gp_surface(config: BathConfig, theta0_grid: Sequence[float],
     ga = np.asarray(gamma_grid, dtype=float)
     delta_abs = np.empty((len(th), len(ga)))
     ratio = np.empty_like(delta_abs)
-    for j, g in enumerate(ga):
-        cfg = dataclasses.replace(config, gamma=float(g))
-        for i, t0 in enumerate(th):
-            res = geometric_phase(cfg, float(t0), tol=tol)
-            delta_abs[i, j] = abs(res.delta)
-            ratio[i, j] = delta_abs[i, j] / res.phi_u if res.phi_u > 0 else np.nan
+    for i, t0 in enumerate(th):
+        # one cycle integral per row: every gamma from the same beta nodes
+        delta_abs[i] = np.abs(_cycle_corrections(config, _theta0_of(t0), ga, tol)[0])
+        phi_u = unitary_phase(t0)
+        ratio[i] = delta_abs[i] / phi_u if phi_u > 0 else np.nan
     return SurfaceResult(theta0=th, gamma=ga, ratio=ratio, delta_abs=delta_abs)
 
 
@@ -344,10 +359,8 @@ def gamma_comparison(config: BathConfig, state: Union[QubitState, float],
     """
     theta0 = _theta0_of(state)
     ga = np.asarray(gamma_grid, dtype=float)
-    exact = np.empty(len(ga))
-    pred = np.empty(len(ga))
-    for i, g in enumerate(ga):
-        cfg = dataclasses.replace(config, gamma=float(g))
-        exact[i] = geometric_phase(cfg, theta0, tol=tol).phi_g
-        pred[i] = unitary_phase(theta0) + perturbative_correction(cfg, theta0)
+    phi_u = unitary_phase(theta0)
+    pred = np.array([phi_u + perturbative_correction(
+        dataclasses.replace(config, gamma=float(g)), theta0) for g in ga])
+    exact = phi_u + _cycle_corrections(config, theta0, ga, tol)[0]
     return ga, exact, pred

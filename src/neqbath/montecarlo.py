@@ -116,8 +116,8 @@ def discretize_bath(density: SpectralDensity, profile: PhaseProfile,
     """Midpoint-grid mode decomposition of a spectral density.
 
     Warns when the modes fail to carry the full spectral weight to
-    within 1% (grid too coarse or omega_max too small), since
-    missing weight directly biases the sampled decoherence.
+    within 1% (grid too coarse or omega_max too small), since missing
+    weight biases the sampled decoherence; ValueError if a coupling overflows.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
@@ -125,7 +125,10 @@ def discretize_bath(density: SpectralDensity, profile: PhaseProfile,
         raise ValueError("omega_max must be positive")
     dw = omega_max / n_modes
     w = (np.arange(n_modes) + 0.5) * dw
-    coupling = np.sqrt(density(w) * dw)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coupling = np.sqrt(density(w) * dw)
+    if not np.all(np.isfinite(coupling)):
+        raise ValueError("mode couplings overflow a double: lower gamma or the ohmicity")
     theta0 = np.asarray(profile(w), dtype=float)
     bath = DiscretizedBath(omega=w, coupling=coupling, theta0=theta0,
                            omega_max=float(omega_max), delta_omega=float(dw))

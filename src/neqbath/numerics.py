@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -25,14 +25,14 @@ __all__ = [
 class QuadratureResult:
     """Outcome of an adaptive panel integration.
 
-    value: best estimate of the integral
-    error: sum of per-panel error estimates (abs scale)
+    value: best estimate of the integral, shape (m,) for m integrands
+    error: sum of per-panel error estimates (abs scale), shaped as value
     subdivisions: number of panels in the final partition
-    converged: True iff error <= requested tolerance
+    converged: True iff error <= requested tolerance, for every integrand
     """
 
-    value: float
-    error: float
+    value: Union[float, np.ndarray]
+    error: Union[float, np.ndarray]
     subdivisions: int
     converged: bool
 
@@ -86,33 +86,34 @@ _MAX_INITIAL_PANELS = 8192
 
 
 def _eval_panels(f: Callable, a: np.ndarray, b: np.ndarray):
-    """Gauss-Kronrod on each [a_i, b_i].  Returns (K15, |K15-G7|) arrays."""
+    """Gauss-Kronrod on each [a_i, b_i]: (K15, |K15-G7|), panels on the last axis."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     pts = c[:, None] + h[:, None] * _NODES[None, :]
-    vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
+    vals = np.asarray(f(pts.ravel()), dtype=float)
+    vals = vals.reshape(vals.shape[:-1] + pts.shape)
     if not np.all(np.isfinite(vals)):
         raise ValueError("integrand returned a non-finite value")
     k15 = h * (vals @ _WK_FULL)
-    g7 = h * (vals[:, 1::2] @ _WG_FULL)
+    g7 = h * (vals[..., 1::2] @ _WG_FULL)
     return k15, np.abs(k15 - g7)
 
 
 def _adapt(f, a, b, tol, max_panels):
     k15, err = _eval_panels(f, a, b)
     while True:
-        total_err = float(err.sum())
         n = len(a)
-        if total_err <= tol or n >= max_panels:
+        if np.all(err.sum(axis=-1) <= tol) or n >= max_panels:
             break
-        # split every panel above its fair share of the budget; always
-        # split the worst one so progress is guaranteed
-        sel = err > tol / (2.0 * n)
+        # split every panel above its fair share of the budget in any
+        # component; always split the worst one so progress is guaranteed
+        peak = err.reshape(-1, n).max(axis=0)
+        sel = peak > tol / (2.0 * n)
         if not sel.any():
-            sel = err == err.max()
+            sel = peak == peak.max()
         idx = np.flatnonzero(sel)
         if n + len(idx) > max_panels:
-            order = np.argsort(err[idx])[::-1]
+            order = np.argsort(peak[idx])[::-1]
             idx = idx[order[: max_panels - n]]
             if len(idx) == 0:
                 break
@@ -124,14 +125,15 @@ def _adapt(f, a, b, tol, max_panels):
         keep[idx] = False
         a = np.concatenate([a[keep], new_a])
         b = np.concatenate([b[keep], new_b])
-        k15 = np.concatenate([k15[keep], new_k])
-        err = np.concatenate([err[keep], new_e])
-    total_err = float(err.sum())
+        k15 = np.concatenate([k15[..., keep], new_k], axis=-1)
+        err = np.concatenate([err[..., keep], new_e], axis=-1)
+    value, total_err = (k15.sum(axis=-1), err.sum(axis=-1)) if err.ndim > 1 \
+        else (float(k15.sum()), float(err.sum()))
     return QuadratureResult(
-        value=float(k15.sum()),
+        value=value,
         error=total_err,
         subdivisions=len(a),
-        converged=bool(total_err <= tol),
+        converged=bool(np.all(total_err <= tol)),
     )
 
 
@@ -144,8 +146,9 @@ def integrate_finite(
 ) -> QuadratureResult:
     """Adaptive integral of f over [a, b] to absolute tolerance tol.
 
-    f must accept a 1-D numpy array and return values elementwise.
-    Never raises on non-convergence; inspect .converged.
+    f must accept a 1-D numpy array and return values elementwise, as
+    shape (npts,) or (m, npts) for m integrands that each meet tol on
+    one partition.  Never raises on non-convergence; inspect .converged.
     """
     if not b > a:
         raise ValueError("integration interval must satisfy b > a")

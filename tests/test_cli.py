@@ -286,6 +286,18 @@ class TestMcCommand:
         assert doc["metadata"]["phase_model"] == "endpoint"
         assert "max_abs_dev" in doc
 
+    def test_overflowing_couplings_exit_2_without_warnings(self, tmp_path, capsys):
+        # 4 gamma x^170 passes the largest double on every mode
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["mc", "--ohmicity", "170", "--gamma", "1e300",
+                            "--n-modes", "4", "--n-trajectories", "2",
+                            "--horizon", "0.5", "--dt", "0.1",
+                            "--out", str(tmp_path / "mc.csv")])
+        assert code == 2
+        assert "couplings overflow" in capsys.readouterr().err
+        assert not (tmp_path / "mc.csv").exists()
+
 
 class TestPdistCommand:
     def test_snapshots_normalize(self, tmp_path):

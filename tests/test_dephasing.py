@@ -123,11 +123,12 @@ class TestClosedForm:
 class TestClosedFormError:
     """beta_values' closed-form error against a 50-digit evaluation."""
 
-    # (gamma, D, lam, cutoff); the last keeps a = 1 - e^(-2 D t) a normal
-    # float while gamma n! a overflows at late times (those are skipped)
+    # (gamma, D, lam, cutoff); the fifth keeps a = 1 - e^(-2 D t) a normal
+    # float while gamma n! a overflows at late times (those are skipped),
+    # the last makes a subnormal for t below 1e-8
     SETS = [(3.0, 0.5, 1.0, 1.0), (0.5, 0.1, 1.0, 1.0), (1.0, 1e-3, 2.5, 3.0),
             (1e-3, 5.0, 0.0, 0.2), (2.0, 0.05, 7.0, 10.0),
-            (1e300, 1e-296, 1.0, 1e300)]
+            (1e300, 1e-296, 1.0, 1e300), (1e300, 1e-300, 1.0, 1e300)]
 
     @staticmethod
     def exact_beta(t, gamma, diffusion, lam, cutoff, n):
@@ -156,6 +157,17 @@ class TestClosedFormError:
                     assert abs(mp.mpf(float(b)) - exact) <= e, (c, t)
                     checked += 1
         assert checked >= 5 * len(ts)
+
+    def test_subnormal_diffusion_factor(self):
+        # a = 2e-312 carries an absolute rounding of 2^-1075, relative 1e-12
+        import mpmath as mp
+        c = BathConfig(gamma=1e300, cutoff=1e300, diffusion=1e-300,
+                       phase_lambda=1.0, ohmicity=1)
+        beta, err, _ = beta_values(np.array([1e-12]), c, 1e-10)
+        with mp.workdps(50):
+            exact = self.exact_beta(1e-12, 1e300, 1e-300, 1.0, 1e300, 1)
+            deviation = abs(mp.mpf(float(beta[0])) - exact)
+        assert 1e-24 < deviation <= err[0]
 
 
 class TestIntegrand:

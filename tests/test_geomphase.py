@@ -6,6 +6,7 @@ Simpson rule at 1e-15 agreement) evaluating the same defining integral,
 so the package's own quadrature is never used to grade itself.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from neqbath.bath import BathConfig
+from neqbath.dephasing import beta_values
 from neqbath.geomphase import (
     LambdaSweepResult,
     QubitState,
@@ -27,6 +29,7 @@ from neqbath.geomphase import (
     perturbative_correction,
     unitary_phase,
 )
+from neqbath.numerics import ConvergenceError, integrate_finite
 
 FIG6 = dict(cutoff=1.0, diffusion=1.0, phase_lambda=1.0)
 
@@ -268,6 +271,82 @@ class TestSurface:
         ga = np.linspace(0.0, 1.0, 6)
         surf = gp_surface(cfg(1.0), th, ga)
         assert np.all(np.diff(surf.delta_abs[0]) > 0.0)
+
+
+def per_point_delta(config, theta0, tol=1e-9):
+    """(delta, error) of one point by the per-point cycle integral that
+    gp_surface ran before it batched the couplings (frozen copy)."""
+    if config.gamma == 0.0 or config.diffusion == 0.0:
+        return 0.0, 0.0
+    base = math.cos(0.5 * theta0) ** 2
+
+    def integrand(ts):
+        cosp, _ = bloch_angle(np.exp(-beta_values(ts, config, 1e-12)[0]), theta0)
+        return config.omega * (cosp * cosp - base)
+
+    res = integrate_finite(integrand, 0.0, 2.0 * math.pi / config.omega, tol=tol)
+    assert res.converged
+    return res.value, res.error
+
+
+class TestSurfaceAgainstPerPointLoop:
+    """gp_surface integrates a whole gamma row at once; each point must
+    agree with its own cycle integral within the sum of both errors (the
+    row's error is at most tol, or gp_surface raises)."""
+
+    TOL = 1e-9
+
+    def check(self, config, th, ga):
+        surf = gp_surface(config, th, ga, tol=self.TOL)
+        for i, t0 in enumerate(th):
+            for j, g in enumerate(ga):
+                want, err = per_point_delta(
+                    dataclasses.replace(config, gamma=float(g)), float(t0))
+                assert abs(surf.delta_abs[i, j] - abs(want)) <= self.TOL + err, (t0, g)
+        return surf
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_closed_form_route(self, n):
+        th = np.linspace(0.0, math.pi, 9)
+        ga = np.arange(0.0, 2.01, 0.25)
+        surf = self.check(cfg(1.0, ohmicity=n, **FIG6), th, ga)
+        assert np.all(surf.delta_abs[:, 0] == 0.0)
+        assert np.all(np.isnan(surf.ratio[-1]))
+        assert np.all(np.isfinite(surf.ratio[:-1]))
+
+    def test_quadrature_route(self):
+        th = np.array([0.25, 0.5, 0.75, 1.0]) * math.pi
+        ga = np.array([0.0, 0.5, 1.0])
+        surf = self.check(cfg(1.0, phase_profile="quadratic"), th, ga)
+        assert np.all(surf.delta_abs[:, 0] == 0.0)
+        assert np.all(np.isnan(surf.ratio[-1]))
+
+    def test_one_coupling_is_bitwise_the_per_point_integral(self):
+        # on the closed form gamma * (beta at gamma = 1) is beta to the bit,
+        # so geometric_phase (gp --mode point) keeps its bytes
+        for n, t0 in ((1, 0.3), (3, math.pi / 2.0), (3, 2.5)):
+            c = cfg(0.7, ohmicity=n)
+            res = geometric_phase(c, t0)
+            assert (res.delta, res.tol) == per_point_delta(c, t0)
+            assert gp_surface(c, [t0], [0.7]).delta_abs[0, 0] == abs(res.delta)
+
+    def test_zero_coupling_and_zero_diffusion_are_exactly_zero(self):
+        surf = gp_surface(cfg(1.0, diffusion=0.0), [0.4, 1.2], [0.0, 0.5, 2.0])
+        assert np.all(surf.delta_abs == 0.0)
+        _, exact, _ = gamma_comparison(cfg(1.0), 0.4, [0.0, 0.0])
+        assert np.all(exact == unitary_phase(0.4))
+
+    def test_bad_couplings_raise(self):
+        for ga in ([0.5, -0.1], [0.5, math.inf], [math.nan]):
+            with pytest.raises(ValueError, match="gamma"):
+                gp_surface(cfg(1.0), [0.5], ga)
+
+    def test_convergence_error_reaches_the_caller(self):
+        with pytest.raises(ConvergenceError, match="geometric-phase") as info:
+            gp_surface(cfg(1.0), [0.5], [0.5, 1.0], tol=1e-30)
+        assert info.value.result.error.shape == (2,)
+        with pytest.raises(ConvergenceError):
+            gamma_comparison(cfg(1.0), 0.5, [0.5, 1.0], tol=1e-30)
 
 
 class TestLambdaSweep:

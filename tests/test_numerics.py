@@ -40,6 +40,48 @@ def test_finite_cubic():
     assert res.value == pytest.approx(0.25, abs=1e-13)
 
 
+class TestVectorIntegrand:
+    """An integrand returning shape (m, npts): m integrals on one partition."""
+
+    @staticmethod
+    def family(ks):
+        # int_0^1 e^(k t) dt = expm1(k) / k: the larger k, the more panels
+        ks = np.asarray(ks, dtype=float)[:, None]
+        return (lambda t: np.exp(ks * t)), np.expm1(ks[:, 0]) / ks[:, 0]
+
+    def test_each_component_meets_tol(self):
+        f, exact = self.family([0.5, 5.0, 40.0])
+        res = integrate_finite(f, 0.0, 1.0, tol=1e-9)
+        assert res.converged
+        assert res.value.shape == res.error.shape == (3,)
+        assert np.all(res.error <= 1e-9)
+        assert np.all(np.abs(res.value - exact) <= res.error + 1e-15 * np.abs(exact))
+
+    def test_refines_for_the_hardest_component(self):
+        f, _ = self.family([0.5, 40.0])
+        easy = integrate_finite(lambda t: np.exp(0.5 * t), 0.0, 1.0, tol=1e-9)
+        both = integrate_finite(f, 0.0, 1.0, tol=1e-9)
+        hard = integrate_finite(lambda t: np.exp(40.0 * t), 0.0, 1.0, tol=1e-9)
+        assert easy.subdivisions < both.subdivisions == hard.subdivisions
+
+    def test_unmet_tolerance_reports_every_component(self):
+        f, _ = self.family([0.5, 40.0])
+        res = integrate_finite(f, 0.0, 1.0, tol=1e-30, max_panels=64)
+        assert not res.converged and res.subdivisions == 64
+        assert res.error.shape == (2,)
+
+    @pytest.mark.parametrize("k", [0.5, 5.0, 40.0])
+    def test_one_component_is_bitwise_the_scalar_call(self, k):
+        scalar = integrate_finite(lambda t: np.exp(k * t) * np.sin(9.0 * t), 0.0, 3.0,
+                                  tol=1e-11)
+        vector = integrate_finite(lambda t: (np.exp(k * t) * np.sin(9.0 * t))[None, :],
+                                  0.0, 3.0, tol=1e-11)
+        assert isinstance(scalar.value, float) and isinstance(scalar.error, float)
+        assert vector.value.shape == (1,)
+        assert vector.value[0] == scalar.value and vector.error[0] == scalar.error
+        assert vector.subdivisions == scalar.subdivisions
+
+
 def test_finite_sine_squared():
     res = integrate_finite(lambda t: np.sin(t) ** 2, 0.0, 2.0 * math.pi,
                            tol=1e-12)
