@@ -33,10 +33,8 @@ from .dephasing import (
 from .geomphase import (
     GPResult,
     LambdaSweepResult,
-    QubitState,
     SurfaceResult,
     bloch_angle,
-    eigenvalue_plus,
     first_order_coefficient,
     first_order_correction,
     gamma_comparison,

@@ -99,7 +99,9 @@ class SpectralDensity:
         if np.any(w < 0):
             raise ValueError("spectral density is defined for omega >= 0 only")
         x = w / self.cutoff
-        out = (4.0 * self.gamma / self.cutoff) * x**self.ohmicity * np.exp(-x)
+        # past the largest double: inf or nan, which every caller rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = (4.0 * self.gamma / self.cutoff) * x**self.ohmicity * np.exp(-x)
         if np.isscalar(omega) or np.ndim(omega) == 0:
             return float(out)
         return out

@@ -9,7 +9,7 @@ Subcommands
 
 Numbers are written with 17 significant digits so a written CSV reparses
 to the exact float that was computed.  Exit codes: 0 success, 2 bad
-configuration, 3 numerical non-convergence.
+configuration (or a run too large to allocate), 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .bath import BathConfig, DeltaLimitError, PhaseDistribution, \
-    phase_distribution_eval
+from .bath import BathConfig, PhaseDistribution, phase_distribution_eval
 from .dephasing import decoherence_factor, find_dip
 from .geomphase import first_order_coefficient, gamma_comparison, \
     geometric_phase, gp_lambda_sweep, gp_surface
@@ -36,10 +35,7 @@ from .numerics import ConvergenceError
 
 __all__ = ["ConfigError", "RunConfig", "main"]
 
-UNDEFINED_NORM = "undefined-normalization"
-
-
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Bad user input: unknown keys, malformed grids, out-of-range values."""
 
 
@@ -73,28 +69,17 @@ class RunConfig:
     mode: str = "point"
 
     def bath_config(self) -> BathConfig:
-        try:
-            return BathConfig(
-                gamma=self.gamma, cutoff=self.cutoff, diffusion=self.diffusion,
-                phase_lambda=self.phase_lambda, ohmicity=self.ohmicity,
-                omega=self.omega, phase_profile=self.profile,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def ensemble_config(self) -> EnsembleConfig:
-        try:
-            return EnsembleConfig(
-                n_modes=self.n_modes, n_trajectories=self.n_trajectories,
-                seed=self.seed, dt=self.dt, horizon=self.horizon,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return BathConfig(
+            gamma=self.gamma, cutoff=self.cutoff, diffusion=self.diffusion,
+            phase_lambda=self.phase_lambda, ohmicity=self.ohmicity,
+            omega=self.omega, phase_profile=self.profile,
+        )
 
 
-# every key a JSON config file may carry; anything else is rejected so
-# typos fail loudly instead of silently running defaults
-_ALLOWED_KEYS = {f.name for f in fields(RunConfig)}
+# each RunConfig field's kind, which rules how its file value is checked;
+# any other key is rejected so typos fail loudly instead of running defaults
+_KINDS = {f.name: "grid" if f.name.endswith("grid") else f.type
+          for f in fields(RunConfig)}
 
 
 def _parse_grid(text: str) -> tuple:
@@ -142,51 +127,54 @@ def load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = set(raw) - _ALLOWED_KEYS
+    unknown = set(raw) - set(_KINDS)
     if unknown:
         raise ConfigError(
             f"unknown config keys: {', '.join(sorted(unknown))}; "
-            f"allowed: {', '.join(sorted(_ALLOWED_KEYS))}"
+            f"allowed: {', '.join(sorted(_KINDS))}"
         )
     return raw
 
 
+def _file_value(name: str, kind: str, val):
+    """A config-file value checked and coerced by its RunConfig field kind."""
+    if kind == "grid":
+        return _check_grid(val)
+    if kind == "tuple":  # times
+        if not isinstance(val, (list, tuple)):
+            raise ConfigError("times must be a list of numbers")
+        return tuple(_file_value("times entry", "float", v) for v in val)
+    if kind == "int":
+        if isinstance(val, bool) or not isinstance(val, int):
+            raise ConfigError(f"{name} must be an integer, got {val!r}")
+        return val
+    if kind == "str":
+        if not isinstance(val, str):
+            raise ConfigError(f"{name} must be a string, got {val!r}")
+        return val
+    try:
+        return float(val)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a number, got {val!r}") from exc
+
+
 def build_run_config(args: argparse.Namespace) -> RunConfig:
+    """Defaults, then the config file, then the flags, field by field.
+
+    Both walks take the RunConfig fields in declaration order, so the
+    first bad value reported does not depend on the file's key order.
+    """
     cfg = RunConfig()
-    if getattr(args, "config", None):
-        file_vals = load_config_file(args.config)
-        for key, val in file_vals.items():
-            if key in ("grid", "theta0_grid", "gamma_grid", "lambda_grid"):
-                val = _check_grid(val)
-            elif key == "times":
-                if not isinstance(val, (list, tuple)):
-                    raise ConfigError("times must be a list of numbers")
-                val = tuple(float(v) for v in val)
-            elif key in ("ohmicity", "seed", "n_modes", "n_trajectories", "nx"):
-                if isinstance(val, bool) or not isinstance(val, int):
-                    raise ConfigError(f"{key} must be an integer, got {val!r}")
-            elif key in ("profile", "mode"):
-                if not isinstance(val, str):
-                    raise ConfigError(f"{key} must be a string, got {val!r}")
-            else:
-                try:
-                    val = float(val)
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"{key} must be a number, got {val!r}") from exc
-            setattr(cfg, key, val)
-    # flags win over the file
-    for key in ("gamma", "cutoff", "diffusion", "phase_lambda", "ohmicity",
-                "theta0", "profile", "seed", "n_modes", "n_trajectories",
-                "dt", "horizon", "nx", "mode"):
-        val = getattr(args, key, None)
+    file_vals = load_config_file(args.config) if args.config else {}
+    for name, kind in _KINDS.items():
+        if name in file_vals:
+            setattr(cfg, name, _file_value(name, kind, file_vals[name]))
+    # flags win over the file; argparse has typed all but grids and times
+    for name, kind in _KINDS.items():
+        val = getattr(args, name, None)
         if val is not None:
-            setattr(cfg, key, val)
-    for key in ("grid", "theta0_grid", "gamma_grid", "lambda_grid"):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, _parse_grid(val) if isinstance(val, str) else val)
-    if getattr(args, "times", None) is not None:
-        cfg.times = _parse_times(args.times)
+            setattr(cfg, name, _parse_grid(val) if kind == "grid"
+                    else _parse_times(val) if kind == "tuple" else val)
     if cfg.profile not in ("linear", "quadratic"):
         raise ConfigError(
             f"profile must be 'linear' or 'quadratic' on the command line, "
@@ -214,9 +202,7 @@ def _json_cell(value):
     return v if math.isfinite(v) else None
 
 
-def write_table(out: Optional[str], columns: Sequence[str], rows,
-                comments: Sequence[str] = (), json_mode: bool = False,
-                metadata: Optional[dict] = None, extra: Optional[dict] = None):
+def write_table(out: Optional[str], table: _Table, json_mode: bool):
     """Emit one table as CSV (default) or a JSON document.
 
     CSV: one header line, 17-significant-digit cells, then any comment
@@ -225,19 +211,18 @@ def write_table(out: Optional[str], columns: Sequence[str], rows,
     """
     if json_mode:
         doc = {
-            "metadata": metadata or {},
-            "columns": list(columns),
-            "rows": [[_json_cell(v) for v in row] for row in rows],
+            "metadata": table.metadata,
+            "columns": list(table.columns),
+            "rows": [[_json_cell(v) for v in row] for row in table.rows],
         }
-        if comments:
-            doc["comments"] = list(comments)
-        if extra:
-            doc.update(extra)
+        if table.comments:
+            doc["comments"] = list(table.comments)
+        doc.update(table.extra)
         text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     else:
-        lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        lines.extend(f"# {c}" for c in comments)
+        lines = [",".join(table.columns)]
+        lines.extend(",".join(_fmt(v) for v in row) for row in table.rows)
+        lines.extend(f"# {c}" for c in table.comments)
         text = "\n".join(lines) + "\n"
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -262,7 +247,7 @@ def _metadata(cfg: RunConfig, command: str, **extra) -> dict:
 
 
 class _Table(NamedTuple):
-    """One output table: the arguments of write_table after the path."""
+    """One output table, as write_table prints it."""
 
     columns: list
     rows: list
@@ -271,18 +256,23 @@ class _Table(NamedTuple):
     extra: dict
 
 
-def _decoherence_table(cfg: RunConfig, dip: bool, tol: float = 1e-10,
-                       method: Optional[str] = None) -> _Table:
-    """|F| on cfg.grid, with a dip report when dip is set."""
+# Each table function takes the merged RunConfig and the parsed flags of
+# its subcommand, for the options that are not run parameters.
+def _decoherence_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
+    """|F| on cfg.grid, with a dip report when args.dip is set."""
+    tol = args.tol if args.tol is not None else 1e-10
+    if tol <= 0:
+        raise ConfigError(f"tol must be positive, got {tol}")
     times = grid_array(cfg.grid)
     if times[0] < 0:
         raise ConfigError("time grid must start at t >= 0")
-    curve = decoherence_factor(times, cfg.bath_config(), tol=tol, method=method)
+    curve = decoherence_factor(times, cfg.bath_config(), tol=tol,
+                               method=args.method)
     rows = [(t, v, e, curve.method)
             for t, v, e in zip(curve.times, curve.values, curve.errors)]
     comments = []
     extra = {}
-    if dip:
+    if args.dip:
         found = find_dip(curve)
         if found is None:
             comments.append("dip none")
@@ -298,7 +288,7 @@ def _decoherence_table(cfg: RunConfig, dip: bool, tol: float = 1e-10,
                   _metadata(cfg, "decoherence", grid=list(cfg.grid)), extra)
 
 
-def _gp_table(cfg: RunConfig) -> _Table:
+def _gp_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
     """The geometric-phase table of mode cfg.mode."""
     bath = cfg.bath_config()
     if cfg.mode == "point":
@@ -317,7 +307,7 @@ def _gp_table(cfg: RunConfig) -> _Table:
                 if math.isfinite(r):
                     rows.append((t0, g, r, ""))
                 else:
-                    rows.append((t0, g, float("nan"), UNDEFINED_NORM))
+                    rows.append((t0, g, float("nan"), "undefined-normalization"))
         return _Table(["theta0", "gamma", "delta_phi_norm", "note"], rows, [],
                       _metadata(cfg, "gp", mode="surface",
                                 theta0_grid=list(cfg.theta0_grid),
@@ -361,62 +351,43 @@ def _gp_table(cfg: RunConfig) -> _Table:
     )
 
 
-def cmd_decoherence(args: argparse.Namespace) -> int:
-    cfg = build_run_config(args)
-    tol = args.tol if args.tol is not None else 1e-10
-    if tol <= 0:
-        raise ConfigError(f"tol must be positive, got {tol}")
-    table = _decoherence_table(cfg, args.dip, tol, args.method)
-    write_table(args.out, json_mode=args.json, **table._asdict())
-    return 0
-
-
-def cmd_gp(args: argparse.Namespace) -> int:
-    table = _gp_table(build_run_config(args))
-    write_table(args.out, json_mode=args.json, **table._asdict())
-    return 0
-
-
-def cmd_mc(args: argparse.Namespace) -> int:
-    cfg = build_run_config(args)
+def _mc_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
+    """The Monte Carlo curve beside the analytic one."""
     bath = cfg.bath_config()
-    ens = cfg.ensemble_config()
+    ens = EnsembleConfig(n_modes=cfg.n_modes, n_trajectories=cfg.n_trajectories,
+                         seed=cfg.seed, dt=cfg.dt, horizon=cfg.horizon)
     mc = mc_decoherence_factor(bath, ens, phase_model=args.phase_model)
     mc_curve = to_decoherence_curve(mc)
     analytic = decoherence_factor(mc.times, bath)
     dev = mc_curve.values - analytic.values
-    rows = [(t, fm, se, fa, d) for t, fm, se, fa, d in
-            zip(mc.times, mc_curve.values, mc_curve.errors,
-                analytic.values, dev)]
+    rows = list(zip(mc.times, mc_curve.values, mc_curve.errors,
+                    analytic.values, dev))
     max_dev = float(np.max(np.abs(dev)))
-    comments = [f"max|F_mc - F_analytic| = {_fmt(max_dev)}"]
-    extra = {"max_abs_dev": max_dev}
-    write_table(args.out, ["t", "F_mc", "stderr", "F_analytic", "dev"], rows,
-                comments, args.json,
-                _metadata(cfg, "mc", seed=cfg.seed, n_modes=cfg.n_modes,
-                          n_trajectories=cfg.n_trajectories, dt=cfg.dt,
-                          horizon=cfg.horizon, phase_model=args.phase_model),
-                extra)
-    return 0
+    return _Table(["t", "F_mc", "stderr", "F_analytic", "dev"], rows,
+                  [f"max|F_mc - F_analytic| = {_fmt(max_dev)}"],
+                  _metadata(cfg, "mc", seed=cfg.seed, n_modes=cfg.n_modes,
+                            n_trajectories=cfg.n_trajectories, dt=cfg.dt,
+                            horizon=cfg.horizon, phase_model=args.phase_model),
+                  {"max_abs_dev": max_dev})
 
 
-def cmd_pdist(args: argparse.Namespace) -> int:
-    cfg = build_run_config(args)
+def _pdist_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
+    """P(x, t) on nx points across [-pi, pi] at each snapshot time."""
     if cfg.nx < 2:
         raise ConfigError(f"nx must be >= 2, got {cfg.nx}")
     if not cfg.times:
         raise ConfigError("at least one snapshot time is required")
     dist = PhaseDistribution(diffusion=cfg.diffusion)
     x = np.linspace(-math.pi, math.pi, cfg.nx)
-    rows = []
-    for t in cfg.times:
-        try:
-            p = phase_distribution_eval(dist, x, float(t))
-        except (DeltaLimitError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-        rows.extend((t, xi, pi) for xi, pi in zip(x, p))
-    write_table(args.out, ["t", "x", "P"], rows, (), args.json,
-                _metadata(cfg, "pdist", times=list(cfg.times), nx=cfg.nx))
+    rows = [(t, xi, pi) for t in cfg.times
+            for xi, pi in zip(x, phase_distribution_eval(dist, x, float(t)))]
+    return _Table(["t", "x", "P"], rows, [],
+                  _metadata(cfg, "pdist", times=list(cfg.times), nx=cfg.nx), {})
+
+
+def cmd_table(args: argparse.Namespace) -> int:
+    """decoherence, gp, mc and pdist: argv -> RunConfig -> table -> output."""
+    write_table(args.out, args.table(build_run_config(args), args), args.json)
     return 0
 
 
@@ -459,14 +430,16 @@ def cmd_reproduce_figure(args: argparse.Namespace) -> int:
     notes, jobs = _FIGURES[args.number]
     meta_doc = {"figure": args.number, "version": __version__,
                 "files": [f"{name}.csv" for name, _, _ in jobs], **notes}
-    for name, kind, fields in jobs:
+    for name, kind, params in jobs:
+        opts = argparse.Namespace(dip=kind == "dip", tol=None, method=None)
         if kind in ("decoherence", "dip"):
-            table = _decoherence_table(RunConfig(**fields), dip=kind == "dip")
+            table = _decoherence_table(RunConfig(**params), opts)
         else:
-            table = _gp_table(RunConfig(mode=kind, **fields))
+            table = _gp_table(RunConfig(mode=kind, **params), opts)
         # only figure 7 keeps its comment lines; the dip and C go to the metadata
-        write_table(str(outdir / f"{name}.csv"), table.columns, table.rows,
-                    table.comments if kind == "lambda" else ())
+        write_table(str(outdir / f"{name}.csv"),
+                    table if kind == "lambda" else table._replace(comments=[]),
+                    False)
         meta = {**table.metadata, **table.extra}
         if len(jobs) == 1:
             meta_doc.update(meta)
@@ -512,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="force the evaluation route")
     p.add_argument("--tol", type=float,
                    help="absolute quadrature tolerance (default 1e-10)")
-    p.set_defaults(func=cmd_decoherence)
+    p.set_defaults(func=cmd_table, table=_decoherence_table)
 
     p = sub.add_parser("gp", help="geometric phase over one quasi-cycle")
     _add_common(p)
@@ -523,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="coupling grid start:stop:step")
     p.add_argument("--lambda-grid", dest="lambda_grid",
                    help="delay grid start:stop:step")
-    p.set_defaults(func=cmd_gp)
+    p.set_defaults(func=cmd_table, table=_gp_table)
 
     p = sub.add_parser("mc", help="Monte Carlo curve vs analytic")
     _add_common(p)
@@ -533,13 +506,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float)
     p.add_argument("--phase-model", choices=["endpoint", "integral"],
                    default="endpoint", dest="phase_model")
-    p.set_defaults(func=cmd_mc)
+    p.set_defaults(func=cmd_table, table=_mc_table)
 
     p = sub.add_parser("pdist", help="phase distribution snapshots")
     _add_common(p)
     p.add_argument("--times", help="comma-separated snapshot times (t > 0)")
     p.add_argument("--nx", type=int, help="grid points across [-pi, pi]")
-    p.set_defaults(func=cmd_pdist)
+    p.set_defaults(func=cmd_table, table=_pdist_table)
 
     p = sub.add_parser("reproduce-figure",
                        help="write the data behind one standard figure")
@@ -551,11 +524,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:  # the library rejects bad input with ValueError
+    # ConfigError is a ValueError, as is the library's rejection of bad
+    # input; an array too large to allocate is a run sized past the machine
+    except (ValueError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

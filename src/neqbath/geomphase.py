@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -30,11 +30,9 @@ from .dephasing import beta_values
 from .numerics import ConvergenceError, integrate_finite
 
 __all__ = [
-    "QubitState",
     "GPResult",
     "SurfaceResult",
     "LambdaSweepResult",
-    "eigenvalue_plus",
     "bloch_angle",
     "geometric_phase",
     "unitary_phase",
@@ -45,17 +43,6 @@ __all__ = [
     "gp_lambda_sweep",
     "gamma_comparison",
 ]
-
-
-@dataclass(frozen=True)
-class QubitState:
-    """Initial pure state cos(theta0/2)|0> + sin(theta0/2)|1>."""
-
-    theta0: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.theta0) and 0.0 <= self.theta0 <= math.pi):
-            raise ValueError(f"theta0 must lie in [0, pi], got {self.theta0}")
 
 
 @dataclass(frozen=True)
@@ -102,31 +89,16 @@ class LambdaSweepResult:
     max_increase: np.ndarray
 
 
-def _theta0_of(state: Union[QubitState, float]) -> float:
-    if isinstance(state, QubitState):
-        return state.theta0
-    return QubitState(float(state)).theta0  # reuse the range check
+def _theta0_of(state: float) -> float:
+    """The polar angle theta0 of the initial pure state
+    cos(theta0/2)|0> + sin(theta0/2)|1>, checked to lie in [0, pi]."""
+    theta0 = float(state)
+    if not 0.0 <= theta0 <= math.pi:
+        raise ValueError(f"theta0 must lie in [0, pi], got {theta0}")
+    return theta0
 
 
-def eigenvalue_plus(factor, state: Union[QubitState, float]):
-    """Larger eigenvalue of the dephased density matrix.
-
-    eps_+ = (1 + sqrt(cos(theta0)^2 + sin(theta0)^2 F^2)) / 2, which
-    lives in [1/2, 1].  F must be a physical modulus in [0, 1].
-    """
-    theta0 = _theta0_of(state)
-    f = np.asarray(factor, dtype=float)
-    if np.any(f < 0) or np.any(f > 1):
-        raise ValueError("decoherence factor must lie in [0, 1]")
-    c = math.cos(theta0)
-    s = math.sin(theta0)
-    out = 0.5 * (1.0 + np.sqrt(c * c + s * s * f * f))
-    if np.isscalar(factor) or np.ndim(factor) == 0:
-        return float(out)
-    return out
-
-
-def bloch_angle(factor, state: Union[QubitState, float]):
+def bloch_angle(factor, state: float):
     """(cos theta_+, sin theta_+) of the + eigenvector's half-angle.
 
     Written to avoid the cancellation in eps_+ - cos(theta0/2)^2 when
@@ -167,7 +139,7 @@ def bloch_angle(factor, state: Union[QubitState, float]):
     return cosp, sinp
 
 
-def unitary_phase(state: Union[QubitState, float]) -> float:
+def unitary_phase(state: float) -> float:
     """GP of the bare quasi-cycle: pi (1 + cos theta0)."""
     return math.pi * (1.0 + math.cos(_theta0_of(state)))
 
@@ -207,7 +179,7 @@ def _cycle_corrections(config: BathConfig, theta0: float, gammas,
     return delta, err
 
 
-def geometric_phase(config: BathConfig, state: Union[QubitState, float],
+def geometric_phase(config: BathConfig, state: float,
                     tol: float = 1e-9) -> GPResult:
     """GP of one quasi-cycle with the bath on.
 
@@ -246,7 +218,7 @@ def first_order_coefficient(config: BathConfig) -> float:
 
 
 def first_order_correction(config: BathConfig,
-                           state: Union[QubitState, float]) -> float:
+                           state: float) -> float:
     """First-order term gamma * C * sin(theta0)^2 cos(theta0) of delta.
 
     C is first_order_coefficient; this is the linear Taylor term of the
@@ -260,7 +232,7 @@ def first_order_correction(config: BathConfig,
 
 
 def perturbative_correction(config: BathConfig,
-                            state: Union[QubitState, float]) -> float:
+                            state: float) -> float:
     """The paper's closed-form first-order prediction of the correction.
 
     delta ~ gamma * C_n * sin(theta0)^2 cos(theta0) with the cycle
@@ -322,7 +294,7 @@ def gp_lambda_sweep(config: BathConfig, theta0_grid: Sequence[float],
                     slack: float = 1e-9) -> LambdaSweepResult:
     """|delta| as the profile delay lambda varies, per initial state.
 
-    Uses the linear profile with the swept delay.  The monotone flags
+    Uses the config's phase profile with the swept delay.  The monotone flags
     record whether degradation only weakens as the delay grows; the
     sweep reports rather than enforces this.  At gamma = 3, D = 0.1 the
     exact curves rise from lambda = 0 to a peak at lambda = 0.75-1.5
@@ -336,8 +308,7 @@ def gp_lambda_sweep(config: BathConfig, theta0_grid: Sequence[float],
         raise ValueError("lambda_grid must be strictly increasing")
     delta_abs = np.empty((len(th), len(lams)))
     for j, lam in enumerate(lams):
-        cfg = dataclasses.replace(config, phase_lambda=float(lam),
-                                  phase_profile="linear")
+        cfg = dataclasses.replace(config, phase_lambda=float(lam))
         for i, t0 in enumerate(th):
             res = geometric_phase(cfg, float(t0), tol=tol)
             delta_abs[i, j] = abs(res.delta)
@@ -348,7 +319,7 @@ def gp_lambda_sweep(config: BathConfig, theta0_grid: Sequence[float],
                              monotone=monotone, max_increase=max_increase)
 
 
-def gamma_comparison(config: BathConfig, state: Union[QubitState, float],
+def gamma_comparison(config: BathConfig, state: float,
                      gamma_grid: Sequence[float],
                      tol: float = 1e-9):
     """(gamma, exact phi_g, first-order phi_g) arrays for one state.

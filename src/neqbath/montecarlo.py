@@ -125,8 +125,7 @@ def discretize_bath(density: SpectralDensity, profile: PhaseProfile,
         raise ValueError("omega_max must be positive")
     dw = omega_max / n_modes
     w = (np.arange(n_modes) + 0.5) * dw
-    with np.errstate(over="ignore", invalid="ignore"):
-        coupling = np.sqrt(density(w) * dw)
+    coupling = np.sqrt(density(w) * dw)
     if not np.all(np.isfinite(coupling)):
         raise ValueError("mode couplings overflow a double: lower gamma or the ohmicity")
     theta0 = np.asarray(profile(w), dtype=float)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import neqbath
 from neqbath.bath import BathConfig
-from neqbath.cli import grid_array, main
+from neqbath.cli import RunConfig, build_parser, build_run_config, grid_array, main
 from neqbath.dephasing import decoherence_factor
 from neqbath.geomphase import geometric_phase
 
@@ -137,6 +138,16 @@ class TestDecoherenceCommand:
         assert doc["metadata"]["command"] == "decoherence"
         assert "dip" in doc
 
+    def test_overflowing_density_exits_3_without_warnings(self, tmp_path, capsys):
+        # 4 gamma x^170 passes the largest double inside the beta integrand
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["decoherence", "--gamma", "1e300", "--ohmicity", "170",
+                            "--method", "quadrature", "--grid", "0:1:0.5",
+                            "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        assert "integrand returned a non-finite value" in capsys.readouterr().err
+
     def test_unconvergable_tolerance_exits_3(self, tmp_path, capsys):
         code = run_cli(["decoherence", "--grid", "1:2:1", "--method",
                         "quadrature", "--tol", "1e-300",
@@ -192,6 +203,70 @@ class TestConfigHandling:
 
     def test_missing_config_file_exits_2(self):
         assert run_cli(["decoherence", "--config", "/nonexistent.json"]) == 2
+
+
+# every RunConfig field with a flag: (subcommand, flag, config-file value,
+# flag text, flag value, a file value of the wrong kind)
+FIELD_FLAGS = {
+    "gamma": ("decoherence", "--gamma", 2.0, "3", 3.0, "x"),
+    "cutoff": ("decoherence", "--cutoff", 2.0, "3", 3.0, "x"),
+    "diffusion": ("decoherence", "--diffusion", 0.2, "0.3", 0.3, "x"),
+    "phase_lambda": ("decoherence", "--phase-lambda", 2.0, "3", 3.0, "x"),
+    "ohmicity": ("decoherence", "--ohmicity", 2, "3", 3, 1.5),
+    "profile": ("decoherence", "--profile", "quadratic", "linear", "linear", 3),
+    "theta0": ("decoherence", "--theta0", 0.5, "1.5", 1.5, "x"),
+    "grid": ("decoherence", "--grid", [0, 2, 0.5], "0:1:0.25", (0.0, 1.0, 0.25),
+             "0:1:0.5"),
+    "seed": ("mc", "--seed", 2, "3", 3, 1.5),
+    "n_modes": ("mc", "--n-modes", 8, "16", 16, 1.5),
+    "n_trajectories": ("mc", "--n-trajectories", 8, "16", 16, 1.5),
+    "dt": ("mc", "--dt", 0.01, "0.02", 0.02, "x"),
+    "horizon": ("mc", "--horizon", 2.0, "3", 3.0, "x"),
+    "times": ("pdist", "--times", [1, 2], "3,4", (3.0, 4.0), 1),
+    "nx": ("pdist", "--nx", 9, "17", 17, 1.5),
+    "theta0_grid": ("gp", "--theta0-grid", [0, 1, 0.5], "0:2:1", (0.0, 2.0, 1.0),
+                    "0:1:0.5"),
+    "gamma_grid": ("gp", "--gamma-grid", [0, 1, 0.5], "0:2:1", (0.0, 2.0, 1.0),
+                   "0:1:0.5"),
+    "lambda_grid": ("gp", "--lambda-grid", [0, 1, 0.5], "0:2:1", (0.0, 2.0, 1.0),
+                    "0:1:0.5"),
+    "mode": ("gp", "--mode", "surface", "gamma", "gamma", 3),
+}
+
+
+class TestRunConfigFields:
+    def test_every_flagged_field_is_listed(self):
+        assert {f.name for f in fields(RunConfig)} - set(FIELD_FLAGS) == {"omega"}
+
+    @pytest.mark.parametrize("name", sorted(FIELD_FLAGS))
+    def test_flag_beats_the_file_and_the_file_beats_defaults(self, name, tmp_path):
+        command, flag, _, text, want, _ = FIELD_FLAGS[name]
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({k: v[2] for k, v in FIELD_FLAGS.items()}))
+        args = build_parser().parse_args(
+            [command, "--config", str(cfgfile), f"{flag}={text}"])
+        cfg = build_run_config(args)
+        assert getattr(cfg, name) == want
+        for key, spec in FIELD_FLAGS.items():
+            if key != name:
+                file_val = spec[2]
+                assert getattr(cfg, key) == (
+                    tuple(file_val) if isinstance(file_val, list) else file_val)
+                assert getattr(cfg, key) != getattr(RunConfig(), key), key
+
+    @pytest.mark.parametrize("name", sorted(FIELD_FLAGS))
+    def test_file_value_of_the_wrong_kind_exits_2(self, name, tmp_path, capsys):
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({name: FIELD_FLAGS[name][5]}))
+        assert run_cli(["decoherence", "--config", str(cfgfile)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", [None, "a"])
+    def test_times_entries_must_be_numbers(self, entry, tmp_path, capsys):
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({"times": [1, entry]}))
+        assert run_cli(["pdist", "--config", str(cfgfile)]) == 2
+        assert "times entry must be a number" in capsys.readouterr().err
 
 
 class TestGpCommand:
@@ -396,6 +471,11 @@ TRACEBACK_COMMANDS = [
     ["decoherence", "--grid", "0:1:1e-300"],
     ["decoherence", "--profile", "quadratic", "--ohmicity", "200",
      "--grid", "0:1:0.5"],
+    # arrays of 10^15 or more elements, refused by the allocator before
+    # any memory is touched
+    ["mc", "--n-modes", "1000000000000000"],
+    ["mc", "--horizon", "1e13", "--dt", "0.005"],
+    ["pdist", "--nx", "1000000000000000", "--times", "1"],
 ]
 
 

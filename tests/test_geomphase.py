@@ -17,9 +17,7 @@ from neqbath.bath import BathConfig
 from neqbath.dephasing import beta_values
 from neqbath.geomphase import (
     LambdaSweepResult,
-    QubitState,
     bloch_angle,
-    eigenvalue_plus,
     first_order_coefficient,
     first_order_correction,
     gamma_comparison,
@@ -40,36 +38,13 @@ def cfg(gamma, ohmicity=1, **kw):
     return BathConfig(gamma=gamma, ohmicity=ohmicity, **base)
 
 
-class TestQubitState:
+class TestUnitaryPhase:
     def test_range(self):
-        QubitState(0.0)
-        QubitState(math.pi)
+        assert unitary_phase(0.0) == 2.0 * math.pi
+        assert unitary_phase(math.pi) == 0.0
         for bad in (-0.1, math.pi + 0.1, math.nan):
-            with pytest.raises(ValueError):
-                QubitState(bad)
-
-
-class TestEigenvaluePlus:
-    def test_pure_state_limit(self):
-        assert eigenvalue_plus(1.0, math.pi / 3.0) == pytest.approx(1.0)
-
-    def test_fully_dephased_values(self):
-        # F = 0: eps_+ = (1 + |cos theta0|)/2
-        assert eigenvalue_plus(0.0, math.pi / 3.0) == pytest.approx(0.75)
-        assert eigenvalue_plus(0.0, math.pi / 2.0) == pytest.approx(0.5)
-        assert eigenvalue_plus(0.0, math.pi) == pytest.approx(1.0)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            eigenvalue_plus(1.2, 0.5)
-        with pytest.raises(ValueError):
-            eigenvalue_plus(-0.01, 0.5)
-
-    @settings(derandomize=True, max_examples=60, deadline=None)
-    @given(f=st.floats(0.0, 1.0), th=st.floats(0.0, math.pi))
-    def test_lives_in_upper_half(self, f, th):
-        eps = eigenvalue_plus(f, th)
-        assert 0.5 - 1e-15 <= eps <= 1.0 + 1e-15
+            with pytest.raises(ValueError, match=r"theta0 must lie in \[0, pi\]"):
+                unitary_phase(bad)
 
 
 class TestBlochAngle:
@@ -100,6 +75,11 @@ class TestBlochAngle:
         assert (c, s) == pytest.approx((0.0, 1.0), abs=1e-15)
         assert bloch_angle(0.0, math.pi / 2.0) == (1.0, 0.0)
 
+    def test_domain_errors(self):
+        for bad in (1.2, -0.01):
+            with pytest.raises(ValueError, match="must lie in"):
+                bloch_angle(bad, 0.5)
+
     def test_continuous_at_vanishing_factor(self):
         c, s = bloch_angle(1e-12, math.pi / 3.0)
         assert c == pytest.approx(1.0, abs=1e-9)
@@ -126,8 +106,9 @@ class TestGeometricPhase:
             assert res.phi_g == pytest.approx(expect, abs=1e-10)
 
     def test_accepts_state_object(self):
-        a = geometric_phase(cfg(0.5), QubitState(0.8))
-        b = geometric_phase(cfg(0.5), 0.8)
+        # any real scalar is a state: a numpy float gives the same phase
+        a = geometric_phase(cfg(0.5), 0.8)
+        b = geometric_phase(cfg(0.5), np.float64(0.8))
         assert a == b
 
     def test_against_frozen_oracle(self):
@@ -370,6 +351,13 @@ class TestLambdaSweep:
         assert isinstance(sweep, LambdaSweepResult)
         assert not sweep.monotone[0]
         assert sweep.max_increase[0] > 1e-3
+
+    def test_sweep_keeps_the_config_profile(self):
+        # each cell is geometric_phase at that delay on the given profile
+        config = cfg(3.0, phase_profile="quadratic")
+        sweep = gp_lambda_sweep(config, [0.7], [0.0, 0.5])
+        want = geometric_phase(dataclasses.replace(config, phase_lambda=0.5), 0.7)
+        assert sweep.delta_abs[0, 1] == abs(want.delta)
 
     def test_bad_lambda_grid(self):
         with pytest.raises(ValueError):
