@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -150,7 +150,7 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-_CHUNK = 64  # modes per normal draw in _fill_paths
+_CHUNK = 64  # modes per normal draw, per reading and per buffer row block
 
 
 def _fill_paths(paths: np.ndarray, draw: np.ndarray,
@@ -191,7 +191,7 @@ def endpoint_phase(bath: DiscretizedBath, paths: np.ndarray,
     ph = _mode_phases(bath, paths, np.asarray(times, dtype=float))
     np.sin(ph, out=ph)
     ph -= np.sin(bath.theta0)[:, None]
-    return bath.coupling @ ph
+    return np.einsum("k,kj->j", bath.coupling, ph)  # no BLAS: no thread-dependent bits
 
 
 def accumulated_phase(bath: DiscretizedBath, paths: np.ndarray,
@@ -206,7 +206,7 @@ def accumulated_phase(bath: DiscretizedBath, paths: np.ndarray,
     ph = _mode_phases(bath, paths, times)
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
-    field = bath.coupling @ np.cos(ph, out=ph)
+    field = np.einsum("k,kj->j", bath.coupling, np.cos(ph, out=ph))
     out = np.empty_like(field)
     out[0] = 0.0
     np.cumsum(0.5 * (field[:-1] + field[1:]) * np.diff(times), out=out[1:])
@@ -224,8 +224,7 @@ def mc_decoherence_factor(config: BathConfig, ensemble: EnsembleConfig,
     """
     if phase_model not in PHASE_MODELS:
         raise ValueError(f"phase_model must be one of {PHASE_MODELS}")
-    omega_max = ensemble.omega_max if ensemble.omega_max is not None \
-        else 20.0 * config.cutoff
+    omega_max = ensemble.omega_max or 20.0 * config.cutoff
     density = SpectralDensity.from_config(config)
     bath = discretize_bath(density, profile_from_config(config),
                            ensemble.n_modes, omega_max)
@@ -253,14 +252,21 @@ def mc_decoherence_factor(config: BathConfig, ensemble: EnsembleConfig,
     acc = np.empty((m_total, nt + 1), dtype=complex)
     workers = min(_worker_count(), m_total)
 
+    chunks = [replace(bath, omega=bath.omega[r:r + _CHUNK], coupling=bath.coupling[r:r + _CHUNK],
+                      theta0=bath.theta0[r:r + _CHUNK]) for r in range(0, ensemble.n_modes, _CHUNK)]
+
     def run(first: int) -> None:
-        # buffers owned by this worker, reused by each of its trajectories
-        paths = np.zeros((ensemble.n_modes, nt + 1))
-        draw = np.empty((min(_CHUNK, ensemble.n_modes), nt))
+        # buffers owned by this worker, reused by every chunk of its trajectories
+        paths = np.zeros((min(_CHUNK, ensemble.n_modes), nt + 1))
+        draw = np.empty((len(paths), nt))
         for m in range(first, m_total, workers):
             rng = np.random.Generator(np.random.Philox(key=key, counter=m << 64))
-            _fill_paths(paths, draw, rng, scale)
-            acc[m] = np.exp(-1j * reading(bath, paths, times))
+            phi = np.zeros(nt + 1)
+            for part in chunks:
+                rows = paths[:len(part.omega)]
+                _fill_paths(rows, draw, rng, scale)
+                phi += reading(part, rows, times)
+            acc[m] = np.exp(-1j * phi)
 
     from concurrent.futures import ThreadPoolExecutor  # off the import path
     with ThreadPoolExecutor(max(workers - 1, 1)) as pool:

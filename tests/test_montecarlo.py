@@ -4,9 +4,13 @@ All runs use fixed seeds, so every assertion here is deterministic; the
 statistical tolerances were chosen against the seeds actually used.
 """
 
+import itertools
 import math
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,13 +271,15 @@ class TestEnsembleRuns:
 
     def test_result_does_not_depend_on_worker_count(self, monkeypatch):
         # 7 workers (usually more than the cores) and a short switch
-        # interval interleave often; the bytes must still be the serial loop's
-        ens = EnsembleConfig(n_modes=16, n_trajectories=9, seed=5, dt=0.01,
-                             horizon=2.0, omega_max=8.0)
+        # interval interleave often; the bytes must still be the serial loop's.
+        # 100 modes are one full chunk of _CHUNK and one partial chunk.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for model in ("endpoint", "integral"):
+            for n_modes, model in itertools.product(
+                    (16, 100), ("endpoint", "integral")):
+                ens = EnsembleConfig(n_modes=n_modes, n_trajectories=9, seed=5,
+                                     dt=0.01, horizon=2.0, omega_max=8.0)
                 want = serial_reference(CFG, ens, model)
                 for workers in (1, 2, 7):
                     monkeypatch.setattr(montecarlo, "_worker_count",
@@ -283,6 +289,27 @@ class TestEnsembleRuns:
                     assert got.stderr.tobytes() == want[1].tobytes()
         finally:
             sys.setswitchinterval(interval)
+
+    def test_csv_does_not_depend_on_blas_threads(self, tmp_path):
+        # the mode sum makes no BLAS call, so OpenBLAS's thread count
+        # (default: one per core) cannot move a bit of the output
+        src = str(Path(montecarlo.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        default = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        outputs = []
+        for name, extra in (("default", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+            out = tmp_path / f"{name}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-W", "ignore", "-m", "neqbath.cli", "mc",
+                 "--gamma", "0.5", "--diffusion", "0.1", "--n-modes", "512",
+                 "--n-trajectories", "2", "--dt", "0.005", "--horizon", "10",
+                 "--seed", "3", "--out", str(out)],
+                capture_output=True, text=True,
+                env=dict(default, PYTHONPATH=path, **extra))
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_worker_exception_reaches_caller(self, monkeypatch):
         # the calling thread runs trajectories too; fail only off it
@@ -307,9 +334,68 @@ class TestEnsembleRuns:
         assert np.array_equal(curve.errors, mc.stderr)
 
 
+WEAK = BathConfig(gamma=0.5, cutoff=1.0, diffusion=0.1, phase_lambda=1.0)
+
+
+def finite_mode_factor(bath, diffusion, times, orders=12):
+    """Exact ensemble mean of exp(-i phi) for the endpoint reading on a
+    discretized bath.  The modes are independent, and Jacobi-Anger with
+    E[exp(-i m x)] = exp(-m^2 D t) gives per mode
+    exp(i c sin th) sum_m J_m(c) exp(-i m (w t + th)) exp(-m^2 D t)."""
+    from scipy.special import jv
+
+    arg = bath.omega[:, None] * times[None, :] + bath.theta0[:, None]
+    factor = np.zeros(arg.shape, dtype=complex)
+    for m in range(-orders, orders + 1):
+        factor += (jv(m, bath.coupling)[:, None] * np.exp(-1j * m * arg)
+                   * np.exp(-m * m * diffusion * times)[None, :])
+    factor *= np.exp(1j * bath.coupling * np.sin(bath.theta0))[:, None]
+    return np.prod(factor, axis=0)
+
+
+class TestFiniteModeOracle:
+    # bounds from sampling theory, fixed before the first run: z is a
+    # standard normal at each point, so its rms sits near 1 and 5 sigma
+    # does not occur among ~2,000 (correlated) points
+    @pytest.mark.parametrize("n_modes,n_trajectories", [(64, 400), (512, 128)])
+    def test_sampling_z_scores(self, n_modes, n_trajectories):
+        ens = EnsembleConfig(n_modes=n_modes, n_trajectories=n_trajectories,
+                             seed=20240817, dt=0.005, horizon=10.0)
+        mc = mc_decoherence_factor(WEAK, ens)
+        bath = discretize_bath(SpectralDensity.from_config(WEAK),
+                               profile_from_config(WEAK), n_modes,
+                               20.0 * WEAK.cutoff)
+        exact = np.abs(finite_mode_factor(bath, WEAK.diffusion, mc.times))
+        live = mc.stderr > 0
+        z = (np.abs(mc.estimates[live]) - exact[live]) / mc.stderr[live]
+        assert 0.5 <= math.sqrt(float(np.mean(z**2))) <= 1.5
+        assert float(np.max(np.abs(z))) < 5.0
+        if n_modes == 512:
+            # the discretization bias is far below the sampling noise
+            bias = np.abs(exact - np.exp(-beta_closed(mc.times, WEAK)))
+            assert float(bias.max()) < 1e-3
+
+
+def chunk_sum(coupling, values, times=None):
+    """sum_k c_k values[k], one non-BLAS reduction per _CHUNK modes added in
+    mode order; given times, each chunk's field is trapezoid-integrated
+    before it is added (the integral reading)."""
+    phi = np.zeros(values.shape[1])
+    for r in range(0, len(coupling), _CHUNK):
+        part = np.einsum("k,kj->j", coupling[r:r + _CHUNK], values[r:r + _CHUNK])
+        if times is not None:
+            field, part = part, np.empty_like(part)
+            part[0] = 0.0
+            np.cumsum(0.5 * (field[:-1] + field[1:]) * np.diff(times),
+                      out=part[1:])
+        phi += part
+    return phi
+
+
 def serial_reference(config, ens, phase_model):
     """(estimates, stderr) from the one-trajectory-at-a-time loop that
-    preceded the thread pool, frozen here as the bit-for-bit reference."""
+    preceded the thread pool, frozen here as the bit-for-bit reference.
+    Only its mode sum follows the chunked trajectory (see chunk_sum)."""
     bath = discretize_bath(SpectralDensity.from_config(config),
                            profile_from_config(config), ens.n_modes,
                            ens.omega_max)
@@ -326,13 +412,10 @@ def serial_reference(config, ens, phase_model):
         np.cumsum(steps, axis=1, out=paths[:, 1:])
         ph = bath.omega[:, None] * times[None, :] + bath.theta0[:, None] + paths
         if phase_model == "endpoint":
-            phi = bath.coupling @ (np.sin(ph) - np.sin(bath.theta0)[:, None])
+            phi = chunk_sum(bath.coupling,
+                            np.sin(ph) - np.sin(bath.theta0)[:, None])
         else:
-            field = bath.coupling @ np.cos(ph)
-            phi = np.empty_like(field)
-            phi[0] = 0.0
-            np.cumsum(0.5 * (field[:-1] + field[1:]) * np.diff(times),
-                      out=phi[1:])
+            phi = chunk_sum(bath.coupling, np.cos(ph), times)
         acc[m] = np.exp(-1j * phi)
     mean = acc.mean(axis=0)
     mod = np.abs(mean)
