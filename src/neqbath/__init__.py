@@ -48,7 +48,6 @@ from .montecarlo import (
     DiscretizedBath,
     EnsembleConfig,
     McCurve,
-    accumulated_phase,
     discretize_bath,
     endpoint_phase,
     mc_decoherence_factor,

@@ -26,6 +26,8 @@ __all__ = [
 
 _PROFILE_KINDS = ("linear", "quadratic")
 _MAX_OHMICITY = 170
+_SERIES_EPS = 1e-12  # P(x, t) drops series terms below this
+_MAX_TERMS = 10_000  # series terms at most, for very small D t
 
 
 class DeltaLimitError(ValueError):
@@ -141,21 +143,15 @@ class PhaseDistribution:
 
     Starts as a delta at x = 0 and spreads as
         P(x, t) = 1/(2 pi) + (1/pi) sum_{m>=1} exp(-m^2 D t) cos(m x),
-    the heat kernel on the circle.  series_eps controls where the sum is
-    truncated; max_terms bounds the work for very small Dt.
+    the heat kernel on the circle, summed until its terms fall below
+    _SERIES_EPS or _MAX_TERMS is reached.
     """
 
     diffusion: float
-    series_eps: float = 1e-12
-    max_terms: int = 10_000
 
     def __post_init__(self):
         if not (math.isfinite(self.diffusion) and self.diffusion >= 0):
             raise ValueError(f"diffusion must be finite and >= 0, got {self.diffusion}")
-        if not (0 < self.series_eps < 1):
-            raise ValueError("series_eps must be in (0, 1)")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
 
 
 def phase_distribution_eval(dist: PhaseDistribution, x, t: float):
@@ -163,12 +159,12 @@ def phase_distribution_eval(dist: PhaseDistribution, x, t: float):
 
     Dt = 0 has no density (delta at x = 0) and raises DeltaLimitError.
     Very small Dt is allowed but warned about: the series needs ~1/sqrt(Dt)
-    terms and is truncated at max_terms.
+    terms and is truncated at _MAX_TERMS.  t = inf is the uniform limit.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not t >= 0:
+        raise ValueError(f"t must be >= 0, got {t}")
     dt_prod = dist.diffusion * t
-    if dt_prod == 0.0:
+    if not dt_prod > 0.0:  # D t = 0, or 0 * inf: a delta for all time
         raise DeltaLimitError(
             "P(x, t) at D*t = 0 is a delta distribution at x = 0; "
             "evaluate at D*t > 0 or handle the initial condition directly"
@@ -180,12 +176,12 @@ def phase_distribution_eval(dist: PhaseDistribution, x, t: float):
             stacklevel=2,
         )
     # may be inf when D*t is subnormal, so it is capped before rounding up
-    m_needed = math.sqrt(math.log(1.0 / dist.series_eps) / dt_prod)
-    m_terms = max(math.ceil(min(m_needed, dist.max_terms)), 1)
-    if m_needed > dist.max_terms:
+    m_needed = math.sqrt(math.log(1.0 / _SERIES_EPS) / dt_prod)
+    m_terms = max(math.ceil(min(m_needed, _MAX_TERMS)), 1)
+    if m_needed > _MAX_TERMS:
         warnings.warn(
-            f"series truncated at {dist.max_terms} terms ({m_needed:.0f} needed "
-            f"for eps={dist.series_eps:.1e})",
+            f"series truncated at {_MAX_TERMS} terms ({m_needed:.0f} needed "
+            f"for eps={_SERIES_EPS:.1e})",
             stacklevel=2,
         )
     xa = np.asarray(x, dtype=float)

@@ -261,8 +261,8 @@ class _Table(NamedTuple):
 def _decoherence_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
     """|F| on cfg.grid, with a dip report when args.dip is set."""
     tol = args.tol if args.tol is not None else 1e-10
-    if tol <= 0:
-        raise ConfigError(f"tol must be positive, got {tol}")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ConfigError(f"tol must be finite and positive, got {tol}")
     times = grid_array(cfg.grid)
     if times[0] < 0:
         raise ConfigError("time grid must start at t >= 0")
@@ -356,7 +356,7 @@ def _mc_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
     bath = cfg.bath_config()
     ens = EnsembleConfig(n_modes=cfg.n_modes, n_trajectories=cfg.n_trajectories,
                          seed=cfg.seed, dt=cfg.dt, horizon=cfg.horizon)
-    mc = mc_decoherence_factor(bath, ens, phase_model=args.phase_model)
+    mc = mc_decoherence_factor(bath, ens)
     mc_curve = to_decoherence_curve(mc)
     analytic = decoherence_factor(mc.times, bath)
     dev = mc_curve.values - analytic.values
@@ -367,7 +367,7 @@ def _mc_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
                   [f"max|F_mc - F_analytic| = {_fmt(max_dev)}"],
                   _metadata(cfg, "mc", seed=cfg.seed, n_modes=cfg.n_modes,
                             n_trajectories=cfg.n_trajectories, dt=cfg.dt,
-                            horizon=cfg.horizon, phase_model=args.phase_model),
+                            horizon=cfg.horizon),
                   {"max_abs_dev": max_dev})
 
 
@@ -504,8 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-trajectories", type=int, dest="n_trajectories")
     p.add_argument("--dt", type=float)
     p.add_argument("--horizon", type=float)
-    p.add_argument("--phase-model", choices=["endpoint", "integral"],
-                   default="endpoint", dest="phase_model")
     p.set_defaults(func=cmd_table, table=_mc_table)
 
     p = sub.add_parser("pdist", help="phase distribution snapshots")

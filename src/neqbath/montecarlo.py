@@ -6,15 +6,12 @@ phase x_k(t) with variance 2 D t.  Averaging exp(-i phi) over phase
 trajectories reproduces exp(-beta) without ever touching the frequency
 integral, which is what makes this an independent check.
 
-Two accumulation readings are provided:
+Each trajectory's phase is read at its endpoint,
 
-  endpoint (default): phi(t) = sum_k c_k [sin(w_k t + th_k + x_k(t))
-      - sin(th_k)].  Gaussian over the ensemble with second cumulant
-      exactly beta(t) for the couplings above.
-  integral: trapezoid of the sampled field sum_k c_k cos(w_k s + th_k
-      + x_k(s)).  Physically natural but its Stratonovich reading adds
-      a secular variance term absent from exp(-beta); kept for
-      comparison experiments, not for validation.
+  phi(t) = sum_k c_k [sin(w_k t + th_k + x_k(t)) - sin(th_k)],
+
+which is Gaussian over the ensemble with second cumulant exactly beta(t)
+for the couplings above.
 
 Seeding is counter-based (Philox): trajectory m draws from counter
 block m << 64, so results are independent of evaluation order and
@@ -40,13 +37,10 @@ __all__ = [
     "EnsembleConfig",
     "McCurve",
     "discretize_bath",
-    "accumulated_phase",
     "endpoint_phase",
     "mc_decoherence_factor",
     "to_decoherence_curve",
 ]
-
-PHASE_MODELS = ("endpoint", "integral")
 
 
 @dataclass(frozen=True)
@@ -61,12 +55,6 @@ class DiscretizedBath:
     omega: np.ndarray
     coupling: np.ndarray
     theta0: np.ndarray
-    omega_max: float
-    delta_omega: float
-
-    def covered_weight(self) -> float:
-        """Midpoint-rule estimate of the spectral weight the modes carry."""
-        return float(np.sum(self.coupling**2))
 
 
 @dataclass(frozen=True)
@@ -96,8 +84,9 @@ class EnsembleConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not (self.horizon > 0 and math.isfinite(self.horizon)):
             raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if self.omega_max is not None and self.omega_max <= 0:
-            raise ValueError(f"omega_max must be positive, got {self.omega_max}")
+        if self.omega_max is not None and not (
+                self.omega_max > 0 and math.isfinite(self.omega_max)):
+            raise ValueError(f"omega_max must be finite and positive, got {self.omega_max}")
 
 
 @dataclass
@@ -107,8 +96,6 @@ class McCurve:
     times: np.ndarray
     estimates: np.ndarray  # complex
     stderr: np.ndarray
-    phase_model: str
-    n_trajectories: int
 
 
 def discretize_bath(density: SpectralDensity, profile: PhaseProfile,
@@ -121,27 +108,26 @@ def discretize_bath(density: SpectralDensity, profile: PhaseProfile,
     """
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
-    if omega_max <= 0:
-        raise ValueError("omega_max must be positive")
+    if not (omega_max > 0 and math.isfinite(omega_max)):
+        raise ValueError("omega_max must be finite and positive")
     dw = omega_max / n_modes
     w = (np.arange(n_modes) + 0.5) * dw
     coupling = np.sqrt(density(w) * dw)
     if not np.all(np.isfinite(coupling)):
         raise ValueError("mode couplings overflow a double: lower gamma or the ohmicity")
     theta0 = np.asarray(profile(w), dtype=float)
-    bath = DiscretizedBath(omega=w, coupling=coupling, theta0=theta0,
-                           omega_max=float(omega_max), delta_omega=float(dw))
     total = 4.0 * density.gamma * math.factorial(density.ohmicity)  # integral of I
     if total > 0:
-        rel = abs(bath.covered_weight() - total) / total
+        covered = float(np.sum(coupling**2))  # midpoint rule
+        rel = abs(covered - total) / total
         if rel > 0.01:
             warnings.warn(
-                f"discretized modes carry {bath.covered_weight():.6g} of "
+                f"discretized modes carry {covered:.6g} of "
                 f"{total:.6g} spectral weight (off by {rel:.1%}); increase "
                 "n_modes or omega_max",
                 stacklevel=2,
             )
-    return bath
+    return DiscretizedBath(omega=w, coupling=coupling, theta0=theta0)
 
 
 def _worker_count() -> int:
@@ -170,51 +156,25 @@ def _fill_paths(paths: np.ndarray, draw: np.ndarray,
         np.cumsum(chunk, axis=1, out=paths[r:r + len(chunk), 1:])
 
 
-def _mode_phases(bath: DiscretizedBath, paths: np.ndarray,
-                 times: np.ndarray) -> np.ndarray:
-    """w_k t_j + th_k + x_k(t_j), built in one new (n_modes, n_times) array."""
+def endpoint_phase(bath: DiscretizedBath, paths: np.ndarray,
+                   times: np.ndarray) -> np.ndarray:
+    """Endpoint accumulation of one trajectory's dephasing angle."""
+    times = np.asarray(times, dtype=float)
     paths = np.asarray(paths, dtype=float)
     if paths.shape != (len(bath.omega), len(times)):
         raise ValueError(
             f"paths must have shape (n_modes, n_times) = "
             f"({len(bath.omega)}, {len(times)}), got {paths.shape}"
         )
-    ph = bath.omega[:, None] * times[None, :]
+    ph = bath.omega[:, None] * times[None, :]  # w_k t_j + th_k + x_k(t_j), one new array
     ph += bath.theta0[:, None]
     ph += paths
-    return ph
-
-
-def endpoint_phase(bath: DiscretizedBath, paths: np.ndarray,
-                   times: np.ndarray) -> np.ndarray:
-    """Endpoint accumulation of one trajectory's dephasing angle."""
-    ph = _mode_phases(bath, paths, np.asarray(times, dtype=float))
     np.sin(ph, out=ph)
     ph -= np.sin(bath.theta0)[:, None]
     return np.einsum("k,kj->j", bath.coupling, ph)  # no BLAS: no thread-dependent bits
 
 
-def accumulated_phase(bath: DiscretizedBath, paths: np.ndarray,
-                      times: np.ndarray) -> np.ndarray:
-    """Trapezoid integral of the sampled mode field along one trajectory.
-
-    With frozen paths (D = 0) this converges to
-    sum_k (c_k / w_k) [sin(w_k t + th_k) - sin(th_k)] at O(dt^2), which
-    is what the tests pin it against.
-    """
-    times = np.asarray(times, dtype=float)
-    ph = _mode_phases(bath, paths, times)
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing")
-    field = np.einsum("k,kj->j", bath.coupling, np.cos(ph, out=ph))
-    out = np.empty_like(field)
-    out[0] = 0.0
-    np.cumsum(0.5 * (field[:-1] + field[1:]) * np.diff(times), out=out[1:])
-    return out
-
-
-def mc_decoherence_factor(config: BathConfig, ensemble: EnsembleConfig,
-                          phase_model: str = "endpoint") -> McCurve:
+def mc_decoherence_factor(config: BathConfig, ensemble: EnsembleConfig) -> McCurve:
     """Ensemble estimate of the decoherence factor.
 
     Returns the complex mean of exp(-i phi) per grid time plus a
@@ -222,8 +182,6 @@ def mc_decoherence_factor(config: BathConfig, ensemble: EnsembleConfig,
     component along the mean direction, which is the error bar that
     belongs to |estimate|).
     """
-    if phase_model not in PHASE_MODELS:
-        raise ValueError(f"phase_model must be one of {PHASE_MODELS}")
     omega_max = ensemble.omega_max or 20.0 * config.cutoff
     density = SpectralDensity.from_config(config)
     bath = discretize_bath(density, profile_from_config(config),
@@ -248,7 +206,6 @@ def mc_decoherence_factor(config: BathConfig, ensemble: EnsembleConfig,
     # one 2^64 counter block per trajectory: streams never overlap and do
     # not depend on which worker runs a trajectory, or when
     key = np.random.SeedSequence(ensemble.seed).generate_state(2, np.uint64)
-    reading = endpoint_phase if phase_model == "endpoint" else accumulated_phase
     acc = np.empty((m_total, nt + 1), dtype=complex)
     workers = min(_worker_count(), m_total)
 
@@ -265,7 +222,7 @@ def mc_decoherence_factor(config: BathConfig, ensemble: EnsembleConfig,
             for part in chunks:
                 rows = paths[:len(part.omega)]
                 _fill_paths(rows, draw, rng, scale)
-                phi += reading(part, rows, times)
+                phi += endpoint_phase(part, rows, times)
             acc[m] = np.exp(-1j * phi)
 
     from concurrent.futures import ThreadPoolExecutor  # off the import path
@@ -283,8 +240,7 @@ def mc_decoherence_factor(config: BathConfig, ensemble: EnsembleConfig,
         stderr = np.sqrt(along.var(axis=0, ddof=1) / m_total)
     else:
         stderr = np.full(nt + 1, np.nan)
-    return McCurve(times=times, estimates=mean, stderr=stderr,
-                   phase_model=phase_model, n_trajectories=m_total)
+    return McCurve(times=times, estimates=mean, stderr=stderr)
 
 
 def to_decoherence_curve(mc: McCurve) -> DecoherenceCurve:

@@ -83,6 +83,7 @@ _WK_FULL = np.concatenate([_WGK[:7], [_WGK[7]], _WGK[6::-1]])
 _WG_FULL = np.array([_WG[0], _WG[1], _WG[2], _WG[3], _WG[2], _WG[1], _WG[0]])
 
 _MAX_INITIAL_PANELS = 8192
+_MAX_PANELS = 10_000  # refinement stops here; an initial partition may exceed it
 
 
 def _eval_panels(f: Callable, a: np.ndarray, b: np.ndarray):
@@ -99,11 +100,11 @@ def _eval_panels(f: Callable, a: np.ndarray, b: np.ndarray):
     return k15, np.abs(k15 - g7)
 
 
-def _adapt(f, a, b, tol, max_panels):
+def _adapt(f, a, b, tol):
     k15, err = _eval_panels(f, a, b)
     while True:
         n = len(a)
-        if np.all(err.sum(axis=-1) <= tol) or n >= max_panels:
+        if np.all(err.sum(axis=-1) <= tol) or n >= _MAX_PANELS:
             break
         # split every panel above its fair share of the budget in any
         # component; always split the worst one so progress is guaranteed
@@ -112,9 +113,9 @@ def _adapt(f, a, b, tol, max_panels):
         if not sel.any():
             sel = peak == peak.max()
         idx = np.flatnonzero(sel)
-        if n + len(idx) > max_panels:
+        if n + len(idx) > _MAX_PANELS:
             order = np.argsort(peak[idx])[::-1]
-            idx = idx[order[: max_panels - n]]
+            idx = idx[order[: _MAX_PANELS - n]]
             if len(idx) == 0:
                 break
         mid = 0.5 * (a[idx] + b[idx])
@@ -142,7 +143,6 @@ def integrate_finite(
     a: float,
     b: float,
     tol: float = 1e-10,
-    max_panels: int = 10_000,
 ) -> QuadratureResult:
     """Adaptive integral of f over [a, b] to absolute tolerance tol.
 
@@ -155,7 +155,7 @@ def integrate_finite(
     if tol <= 0:
         raise ValueError("tol must be positive")
     edges = np.linspace(a, b, 9)  # 8 equal initial panels
-    return _adapt(f, edges[:-1], edges[1:], tol, max_panels)
+    return _adapt(f, edges[:-1], edges[1:], tol)
 
 
 def _initial_edges(upper: float, period_hint: Optional[float], chirp: float) -> np.ndarray:
@@ -191,7 +191,6 @@ def integrate_semi_infinite(
     tol: float = 1e-10,
     period_hint: Optional[float] = None,
     chirp: float = 0.0,
-    max_panels: int = 10_000,
 ) -> QuadratureResult:
     """Integral of f over [0, upper], tuned for oscillatory tails.
 
@@ -199,13 +198,11 @@ def integrate_semi_infinite(
         caller truncating an infinite range adds its own tail bound.
     period_hint, chirp: f oscillates with period period_hint at 0 and its angular
         frequency grows at rate chirp; initial panels resolve that (_initial_edges).
-    max_panels: refinement budget.  The initial partition is set by the
-        oscillation controls and may already exceed it; the budget only
-        stops further splitting.
+    Refinement stops at _MAX_PANELS panels.
     """
     if upper <= 0:
         raise ValueError("upper must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
     edges = _initial_edges(upper, period_hint, chirp)
-    return _adapt(f, edges[:-1], edges[1:], tol, max_panels)
+    return _adapt(f, edges[:-1], edges[1:], tol)

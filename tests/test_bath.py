@@ -182,6 +182,8 @@ class TestPhaseDistribution:
             phase_distribution_eval(dist, 0.3, 0.0)
         with pytest.raises(DeltaLimitError):
             phase_distribution_eval(PhaseDistribution(diffusion=0.0), 0.3, 5.0)
+        with pytest.raises(DeltaLimitError):  # D t = 0 * inf: no spread, ever
+            phase_distribution_eval(PhaseDistribution(diffusion=0.0), 0.3, math.inf)
         assert issubclass(DeltaLimitError, ValueError)
 
     def test_tiny_dt_warns(self):
@@ -190,9 +192,10 @@ class TestPhaseDistribution:
             phase_distribution_eval(dist, 0.0, 1e-7)
 
     def test_truncation_warns(self):
-        dist = PhaseDistribution(diffusion=1.0, max_terms=10)
+        # D t = 1e-9 needs about 166,000 terms, past the term budget
+        dist = PhaseDistribution(diffusion=1.0)
         with pytest.warns(UserWarning, match="truncated"):
-            phase_distribution_eval(dist, 0.0, 1e-4)
+            phase_distribution_eval(dist, 0.0, 1e-9)
 
     def test_subnormal_time_truncates_instead_of_overflowing(self):
         # the term count 1/sqrt(D t) is infinite in floating point here

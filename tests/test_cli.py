@@ -358,7 +358,7 @@ class TestMcCommand:
         run_cli(self.ARGS + ["--json", "--out", str(out)])
         doc = json.loads(out.read_text())
         assert doc["metadata"]["seed"] == 11
-        assert doc["metadata"]["phase_model"] == "endpoint"
+        assert "phase_model" not in doc["metadata"]  # one reading, nothing to record
         assert "max_abs_dev" in doc
 
     def test_overflowing_couplings_exit_2_without_warnings(self, tmp_path, capsys):
@@ -394,6 +394,12 @@ class TestPdistCommand:
 
     def test_negative_time_rejected(self):
         assert run_cli(["pdist", "--times", "-1"]) == 2
+
+    def test_infinite_time_is_the_uniform_limit(self, tmp_path):
+        out = tmp_path / "p.csv"
+        assert run_cli(["pdist", "--times", "inf", "--nx", "5", "--out", str(out)]) == 0
+        _, data, _ = read_csv(out)
+        assert [float(row[2]) for row in data] == [1.0 / (2.0 * math.pi)] * 5
 
 
 class TestReproduceFigure:
@@ -543,6 +549,19 @@ class TestExitCodes:
     def test_former_tracebacks_exit_2(self, argv, tmp_path, capsys):
         assert run_cli(argv + ["--out", str(tmp_path / "x.csv")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,field", [
+        (["decoherence", "--profile", "quadratic", "--tol", "nan"], "tol"),
+        (["decoherence", "--tol", "nan"], "tol"),
+        (["decoherence", "--tol", "inf"], "tol"),
+        (["pdist", "--times", "nan"], "t"),
+    ])
+    def test_nonfinite_input_is_a_config_error(self, argv, field, tmp_path, capsys):
+        # formerly exit 3 (or 2 with a message naming no input) for the
+        # quadratic profile and pdist, and exit 0 for the linear profile
+        argv += ["--grid", "0:1:0.5"] if argv[0] == "decoherence" else []
+        assert run_cli(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+        assert f"config error: {field} must" in capsys.readouterr().err
 
     @settings(derandomize=True, max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -12,13 +12,18 @@ import neqbath
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-@pytest.mark.parametrize("script,argv", [
-    ("compare_phase_readings.py",
-     ["--n-modes", "16", "--n-trajectories", "8", "--horizon", "0.5"]),
+RUNS = [
     ("dip_offset_scan.py", []),
     ("perturbative_window.py", []),
     ("reproduce_all_figures.py", ["--only", "1", "--out-dir", "{tmp}"]),
-])
+]
+
+
+def test_every_script_has_a_run():
+    assert {script for script, _ in RUNS} == {p.name for p in SCRIPTS.glob("*.py")}
+
+
+@pytest.mark.parametrize("script,argv", RUNS, ids=[script for script, _ in RUNS])
 def test_script_exits_0(script, argv, tmp_path):
     # the child imports the package under test, installed or not
     src = str(Path(neqbath.__file__).resolve().parents[1])
