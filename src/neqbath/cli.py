@@ -301,8 +301,8 @@ def _gp_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
         ga = grid_array(cfg.gamma_grid)
         surf = gp_surface(bath, th, ga)
         rows = []
-        for i, t0 in enumerate(surf.theta0):
-            for j, g in enumerate(surf.gamma):
+        for i, t0 in enumerate(th):
+            for j, g in enumerate(ga):
                 r = surf.ratio[i, j]
                 if math.isfinite(r):
                     rows.append((t0, g, r, ""))
@@ -317,15 +317,15 @@ def _gp_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
         lams = grid_array(cfg.lambda_grid)
         sweep = gp_lambda_sweep(bath, th, lams)
         rows = [(t0, lam, sweep.delta_abs[i, j])
-                for i, t0 in enumerate(sweep.theta0)
-                for j, lam in enumerate(sweep.lam)]
+                for i, t0 in enumerate(th)
+                for j, lam in enumerate(lams)]
         comments = [
             f"monotone theta0={_fmt(t0)}: "
             + ("yes" if sweep.monotone[i]
                else f"no (max increase {_fmt(sweep.max_increase[i])})")
-            for i, t0 in enumerate(sweep.theta0)
+            for i, t0 in enumerate(th)
         ]
-        extra = {"theta0_values": [float(v) for v in sweep.theta0],
+        extra = {"theta0_values": [float(v) for v in th],
                  "monotone": [bool(b) for b in sweep.monotone],
                  "max_increase": [float(v) for v in sweep.max_increase]}
         return _Table(["theta0", "lambda", "delta_phi"], rows, comments,

@@ -196,8 +196,8 @@ def beta_quadrature(t: float, config: BathConfig,
                                      phase_lambda=profile.lam)
     if t < 0:
         raise ValueError("t must be >= 0")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     if config.gamma == 0.0 or config.diffusion * t == 0.0:
         # the integrand vanishes identically
         return QuadratureResult(value=0.0, error=0.0, subdivisions=0, converged=True)

@@ -50,7 +50,8 @@ class GPResult:
     """Geometric phase over one quasi-cycle.
 
     delta is computed directly (not as a difference of phi_g and phi_u)
-    and tol is the achieved integration error on it.
+    and tol is the achieved integration error on it.  Each field is a
+    float, or an array for an array of states.
     """
 
     phi_g: float
@@ -67,8 +68,6 @@ class SurfaceResult:
     as NaN.
     """
 
-    theta0: np.ndarray
-    gamma: np.ndarray
     ratio: np.ndarray  # shape (len(theta0), len(gamma))
     delta_abs: np.ndarray
 
@@ -82,8 +81,6 @@ class LambdaSweepResult:
     observed, for reporting when it is not.
     """
 
-    theta0: np.ndarray
-    lam: np.ndarray
     delta_abs: np.ndarray
     monotone: np.ndarray
     max_increase: np.ndarray
@@ -144,53 +141,64 @@ def unitary_phase(state: float) -> float:
     return math.pi * (1.0 + math.cos(_theta0_of(state)))
 
 
-def _cycle_corrections(config: BathConfig, theta0: float, gammas,
-                       tol: float):
-    """Cycle corrections delta = Omega * int (cos(theta_+)^2 - cos(theta0/2)^2) dt
-    and their errors, to absolute tol, for every coupling in gammas at once.
+_COMPONENTS = 4096  # (theta0, gamma) pairs per cycle integral: bounds its node values
 
-    beta is linear in gamma: each node batch takes beta once, at gamma = 1
-    and tol 1e-12 / max gamma.  Couplings 0, and all of them at D = 0, give 0.
+
+def _cycle_corrections(config: BathConfig, theta0s, gammas, tol: float):
+    """Cycle corrections delta = Omega * int (cos(theta_+)^2 - cos(theta0/2)^2) dt
+    and their errors, to absolute tol, as (len(theta0s), len(gammas)) arrays.
+
+    beta is independent of theta0 and linear in gamma: each node batch takes
+    beta once, at gamma = 1 and tol 1e-12 / max gamma.  An integral takes as
+    many whole rows of (theta0, live gamma) components as fit _COMPONENTS,
+    at least one.  Couplings 0, and all of them at D = 0, give 0.
     """
+    th = [_theta0_of(t) for t in np.asarray(theta0s, dtype=float)]
     g = np.asarray(gammas, dtype=float)
     if not np.all(np.isfinite(g) & (g >= 0)):
         raise ValueError(f"gamma must be finite and >= 0, got {g}")
-    delta, err = np.zeros(len(g)), np.zeros(len(g))
+    delta, err = np.zeros((len(th), len(g))), np.zeros((len(th), len(g)))
     live = (g > 0) & (config.diffusion > 0)
     if not live.any():
         return delta, err
     unit = dataclasses.replace(config, gamma=1.0)
     col = g[live][:, None]
-    base = math.cos(0.5 * theta0) ** 2
+    rows = max(1, _COMPONENTS // len(col))
+    for start in range(0, len(th), rows):
+        group = th[start:start + rows]
 
-    def integrand(ts):
-        with np.errstate(over="ignore"):  # gamma beta past the largest double: F = 0
-            beta = col * beta_values(ts, unit, 1e-12 / col.max())[0]
-        cosp, _ = bloch_angle(np.exp(-beta), theta0)
-        return config.omega * (cosp * cosp - base)
+        def integrand(ts):
+            with np.errstate(over="ignore"):  # gamma beta past the largest double: F = 0
+                factor = np.exp(-col * beta_values(ts, unit, 1e-12 / col.max())[0])
+            # one (live gamma, node) block per row, all over the same F
+            return config.omega * np.concatenate(
+                [bloch_angle(factor, t)[0] ** 2 - math.cos(0.5 * t) ** 2 for t in group])
 
-    res = integrate_finite(integrand, 0.0, 2.0 * math.pi / config.omega, tol=tol)
-    if not res.converged:
-        raise ConvergenceError(
-            f"geometric-phase integral stalled at error {res.error.max():.3e}",
-            result=res,
-        )
-    delta[live], err[live] = res.value, res.error
+        res = integrate_finite(integrand, 0.0, 2.0 * math.pi / config.omega, tol=tol)
+        if not res.converged:
+            raise ConvergenceError(
+                f"geometric-phase integral stalled at error {res.error.max():.3e}",
+                result=res,
+            )
+        delta[start:start + rows, live] = res.value.reshape(len(group), -1)
+        err[start:start + rows, live] = res.error.reshape(len(group), -1)
     return delta, err
 
 
-def geometric_phase(config: BathConfig, state: float,
+def geometric_phase(config: BathConfig, state,
                     tol: float = 1e-9) -> GPResult:
     """GP of one quasi-cycle with the bath on.
 
     phi_g is phi_u plus the correction delta of _cycle_corrections, to
     absolute tolerance tol; the polar states theta0 = 0, pi get delta = 0.
+    A float state gives float fields; an array of states shares one
+    integral and gives arrays of its shape.
     """
-    theta0 = _theta0_of(state)
-    delta, err = _cycle_corrections(config, theta0, [config.gamma], tol)
-    phi_u = unitary_phase(theta0)
-    return GPResult(phi_g=phi_u + float(delta[0]), phi_u=phi_u,
-                    delta=float(delta[0]), tol=float(err[0]))
+    th = np.asarray(state, dtype=float)
+    delta, err = _cycle_corrections(config, th.ravel(), [config.gamma], tol)
+    phi_u = np.array([unitary_phase(t) for t in th.ravel()])
+    fields = [f.reshape(th.shape) for f in (phi_u + delta[:, 0], phi_u, delta[:, 0], err[:, 0])]
+    return GPResult(*(map(float, fields) if th.ndim == 0 else fields))
 
 
 def first_order_coefficient(config: BathConfig) -> float:
@@ -276,16 +284,11 @@ def gp_surface(config: BathConfig, theta0_grid: Sequence[float],
     serialize the surface are expected to flag them rather than drop
     them.
     """
-    th = np.asarray(theta0_grid, dtype=float)
-    ga = np.asarray(gamma_grid, dtype=float)
-    delta_abs = np.empty((len(th), len(ga)))
-    ratio = np.empty_like(delta_abs)
-    for i, t0 in enumerate(th):
-        # one cycle integral per row: every gamma from the same beta nodes
-        delta_abs[i] = np.abs(_cycle_corrections(config, _theta0_of(t0), ga, tol)[0])
-        phi_u = unitary_phase(t0)
-        ratio[i] = delta_abs[i] / phi_u if phi_u > 0 else np.nan
-    return SurfaceResult(theta0=th, gamma=ga, ratio=ratio, delta_abs=delta_abs)
+    delta_abs = np.abs(_cycle_corrections(config, theta0_grid, gamma_grid, tol)[0])
+    phi_u = np.array([unitary_phase(t) for t in np.asarray(theta0_grid, dtype=float)])
+    # dividing by NaN leaves the phi_u = 0 rows NaN without a warning
+    ratio = delta_abs / np.where(phi_u > 0, phi_u, np.nan)[:, None]
+    return SurfaceResult(ratio=ratio, delta_abs=delta_abs)
 
 
 def gp_lambda_sweep(config: BathConfig, theta0_grid: Sequence[float],
@@ -306,17 +309,16 @@ def gp_lambda_sweep(config: BathConfig, theta0_grid: Sequence[float],
     lams = np.asarray(lambda_grid, dtype=float)
     if len(lams) >= 2 and np.any(np.diff(lams) <= 0):
         raise ValueError("lambda_grid must be strictly increasing")
+    # beta is not linear in lambda: one cycle integral per delay, every theta0 in it
     delta_abs = np.empty((len(th), len(lams)))
     for j, lam in enumerate(lams):
         cfg = dataclasses.replace(config, phase_lambda=float(lam))
-        for i, t0 in enumerate(th):
-            res = geometric_phase(cfg, float(t0), tol=tol)
-            delta_abs[i, j] = abs(res.delta)
+        delta_abs[:, j] = np.abs(geometric_phase(cfg, th, tol=tol).delta)
     steps = np.diff(delta_abs, axis=1)
     monotone = np.all(steps <= slack, axis=1)
     max_increase = np.maximum(steps.max(axis=1, initial=0.0), 0.0)
-    return LambdaSweepResult(theta0=th, lam=lams, delta_abs=delta_abs,
-                             monotone=monotone, max_increase=max_increase)
+    return LambdaSweepResult(delta_abs=delta_abs, monotone=monotone,
+                             max_increase=max_increase)
 
 
 def gamma_comparison(config: BathConfig, state: float,
@@ -333,5 +335,5 @@ def gamma_comparison(config: BathConfig, state: float,
     phi_u = unitary_phase(theta0)
     pred = np.array([phi_u + perturbative_correction(
         dataclasses.replace(config, gamma=float(g)), theta0) for g in ga])
-    exact = phi_u + _cycle_corrections(config, theta0, ga, tol)[0]
+    exact = phi_u + _cycle_corrections(config, [theta0], ga, tol)[0][0]
     return ga, exact, pred

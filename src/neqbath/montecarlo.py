@@ -82,8 +82,8 @@ class EnsembleConfig:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if not (self.horizon > 0 and math.isfinite(self.horizon)):
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not (self.horizon >= self.dt and math.isfinite(self.horizon)):
+            raise ValueError(f"horizon must be finite and >= dt {self.dt}, got {self.horizon}")
         if self.omega_max is not None and not (
                 self.omega_max > 0 and math.isfinite(self.omega_max)):
             raise ValueError(f"omega_max must be finite and positive, got {self.omega_max}")

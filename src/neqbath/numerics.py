@@ -152,8 +152,8 @@ def integrate_finite(
     """
     if not b > a:
         raise ValueError("integration interval must satisfy b > a")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     edges = np.linspace(a, b, 9)  # 8 equal initial panels
     return _adapt(f, edges[:-1], edges[1:], tol)
 
@@ -202,7 +202,7 @@ def integrate_semi_infinite(
     """
     if upper <= 0:
         raise ValueError("upper must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     edges = _initial_edges(upper, period_hint, chirp)
     return _adapt(f, edges[:-1], edges[1:], tol)

@@ -196,6 +196,9 @@ class TestConfigHandling:
         assert run_cli(["decoherence", "--grid", "5:1:0.5"]) == 2
         assert run_cli(["decoherence", "--grid", "abc"]) == 2
         assert run_cli(["gp", "--theta0", "4.0"]) == 2
+        # a horizon shorter than one step formerly gave the single row t = 0
+        assert run_cli(["mc", "--n-modes", "64", "--n-trajectories", "2",
+                        "--dt", "0.001", "--horizon", "0.0004"]) == 2
         # argparse itself rejects bad enum choices with the same exit code
         with pytest.raises(SystemExit) as exc:
             run_cli(["gp", "--mode", "wavelet"])

@@ -204,6 +204,11 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             beta_quadrature(-1.0, cfg(FIG2))
 
+    def test_nan_tolerance_rejected(self):
+        # formerly a ConvergenceError from the tail cutoff's log(nan)
+        with pytest.raises(ValueError, match="tol must be positive, got nan"):
+            beta_quadrature(0.5, cfg(FIG3), tol=math.nan)
+
     def test_unreachable_tolerance_raises_with_estimate(self):
         with pytest.raises(ConvergenceError) as exc_info:
             beta_quadrature(2.0, cfg(FIG1), tol=1e-300)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from neqbath import geomphase
 from neqbath.bath import BathConfig
 from neqbath.dephasing import beta_values
 from neqbath.geomphase import (
@@ -110,6 +111,30 @@ class TestGeometricPhase:
         a = geometric_phase(cfg(0.5), 0.8)
         b = geometric_phase(cfg(0.5), np.float64(0.8))
         assert a == b
+
+    def test_nan_tolerance_rejected(self):
+        # formerly 0.4 s of refinement, then "stalled at error 3.597e-17"
+        with pytest.raises(ValueError, match="tol must be positive, got nan"):
+            geometric_phase(cfg(0.5), 0.7, tol=math.nan)
+
+    def test_array_of_states_shares_one_integral(self):
+        th = np.array([0.0, 0.3, math.pi / 2.0, 2.5, math.pi])
+        for c in (cfg(0.7), cfg(0.7, ohmicity=3, **FIG6)):
+            res = geometric_phase(c, th, tol=1e-9)
+            assert all(isinstance(f, np.ndarray) and f.shape == th.shape
+                       for f in (res.phi_g, res.phi_u, res.delta, res.tol))
+            for i, t0 in enumerate(th):
+                one = geometric_phase(c, float(t0), tol=1e-9)
+                assert abs(res.delta[i] - one.delta) <= 1e-9 + one.tol
+                assert res.phi_u[i] == one.phi_u
+
+    def test_one_element_array_is_bitwise_the_scalar_call(self):
+        for c in (cfg(0.7), cfg(1.0, phase_profile="quadratic")):
+            one = geometric_phase(c, np.array([0.9]))
+            scalar = geometric_phase(c, 0.9)
+            assert all(type(f) is float for f in dataclasses.astuple(scalar))
+            assert dataclasses.astuple(scalar) == tuple(
+                f[0] for f in dataclasses.astuple(one))
 
     def test_against_frozen_oracle(self):
         # independently computed: delta = 0.09381482355126985 for
@@ -328,6 +353,51 @@ class TestSurfaceAgainstPerPointLoop:
         assert info.value.result.error.shape == (2,)
         with pytest.raises(ConvergenceError):
             gamma_comparison(cfg(1.0), 0.5, [0.5, 1.0], tol=1e-30)
+
+
+def count_cycle_integrals(monkeypatch):
+    """List that gains one entry per cycle integral geomphase runs."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return integrate_finite(*args, **kwargs)
+
+    monkeypatch.setattr(geomphase, "integrate_finite", counted)
+    return calls
+
+
+class TestOneIntegralPerTable:
+    """beta does not depend on theta0: a whole (theta0, gamma) table is one
+    cycle integral, cut only where it exceeds _COMPONENTS components."""
+
+    def test_surface_is_one_integral(self, monkeypatch):
+        calls = count_cycle_integrals(monkeypatch)
+        surf = gp_surface(cfg(1.0), np.linspace(0.0, math.pi, 33),
+                          np.arange(0.0, 2.01, 0.1))
+        assert surf.delta_abs.shape == (33, 21)
+        assert len(calls) == 1
+
+    def test_lambda_sweep_is_one_integral_per_delay(self, monkeypatch):
+        calls = count_cycle_integrals(monkeypatch)
+        sweep = gp_lambda_sweep(cfg(3.0), [math.pi / 8.0, math.pi / 4.0, math.pi / 3.0],
+                                np.arange(0.0, 5.01, 0.25))
+        assert sweep.delta_abs.shape == (3, 21)
+        assert len(calls) == 21
+
+    @pytest.mark.parametrize("budget,integrals", [(6, 3), (2, 5)])
+    def test_component_budget_groups_whole_rows(self, monkeypatch, budget, integrals):
+        # 5 rows of 3 live couplings: 2 + 2 + 1 rows at 6, one row each below 3
+        th = np.linspace(0.2, 2.8, 5)
+        ga = np.array([0.0, 0.5, 1.0, 2.0])
+        tol = 1e-9
+        whole = gp_surface(cfg(1.0, ohmicity=3), th, ga, tol=tol)
+        monkeypatch.setattr(geomphase, "_COMPONENTS", budget)
+        calls = count_cycle_integrals(monkeypatch)
+        cut = gp_surface(cfg(1.0, ohmicity=3), th, ga, tol=tol)
+        assert len(calls) == integrals
+        assert np.all(np.abs(cut.delta_abs - whole.delta_abs) <= 2.0 * tol)
+        assert np.all(cut.delta_abs[:, 0] == 0.0)
 
 
 class TestLambdaSweep:

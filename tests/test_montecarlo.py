@@ -174,6 +174,9 @@ class TestEnsembleConfig:
             EnsembleConfig(n_modes=8, n_trajectories=10, seed=1, dt=0.0)
         with pytest.raises(ValueError):
             EnsembleConfig(n_modes=8, n_trajectories=10, seed=1, horizon=-1.0)
+        # round(0.4) = 0 steps: formerly a curve of the single time t = 0
+        with pytest.raises(ValueError, match="horizon"):
+            EnsembleConfig(n_modes=8, n_trajectories=2, seed=1, dt=0.001, horizon=0.0004)
         with pytest.raises(ValueError):
             EnsembleConfig(n_modes=8, n_trajectories=10, seed=1, omega_max=0.0)
         # refused here, not later as an overflow of the mode couplings

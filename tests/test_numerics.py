@@ -148,8 +148,12 @@ def test_nonfinite_integrand_rejected():
 def test_bad_arguments():
     with pytest.raises(ValueError):
         integrate_finite(np.exp, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        integrate_finite(np.exp, 0.0, 1.0, tol=0.0)
+    # NaN refined to the panel cap and reported converged=False
+    for bad in (0.0, math.nan):
+        with pytest.raises(ValueError, match=f"tol must be positive, got {bad}"):
+            integrate_finite(np.exp, 0.0, 1.0, tol=bad)
+        with pytest.raises(ValueError, match=f"tol must be positive, got {bad}"):
+            integrate_semi_infinite(np.exp, upper=1.0, tol=bad)
     with pytest.raises(ValueError):
         integrate_semi_infinite(np.exp, upper=-2.0)
     with pytest.raises(ValueError):
