@@ -11,11 +11,9 @@ quasi-cyclic evolution.
 from .bath import (
     BathConfig,
     DeltaLimitError,
-    PhaseDistribution,
     PhaseProfile,
     SpectralDensity,
     phase_distribution_eval,
-    profile_from_config,
 )
 from .dephasing import (
     METHOD_CLOSED,

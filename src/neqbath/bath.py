@@ -18,10 +18,8 @@ __all__ = [
     "BathConfig",
     "SpectralDensity",
     "PhaseProfile",
-    "PhaseDistribution",
     "DeltaLimitError",
     "phase_distribution_eval",
-    "profile_from_config",
 ]
 
 _PROFILE_KINDS = ("linear", "quadratic")
@@ -85,16 +83,10 @@ class SpectralDensity:
     whose integral over [0, inf) is 4 gamma n!.
     """
 
-    def __init__(self, gamma: float, cutoff: float, ohmicity: int):
-        if gamma < 0 or cutoff <= 0 or ohmicity < 1:
-            raise ValueError("spectral density requires gamma >= 0, cutoff > 0, ohmicity >= 1")
-        self.gamma = gamma
-        self.cutoff = cutoff
-        self.ohmicity = int(ohmicity)
-
-    @classmethod
-    def from_config(cls, config: BathConfig) -> "SpectralDensity":
-        return cls(config.gamma, config.cutoff, config.ohmicity)
+    def __init__(self, config: BathConfig):
+        self.gamma = config.gamma
+        self.cutoff = config.cutoff
+        self.ohmicity = int(config.ohmicity)
 
     def __call__(self, omega):
         w = np.asarray(omega, dtype=float)
@@ -110,19 +102,15 @@ class SpectralDensity:
 
 
 class PhaseProfile:
-    """Initial phase of mode omega: theta(omega).
+    """Initial phase of mode omega: theta(omega), with lam = config.phase_lambda.
 
     linear:    theta = -lam * omega      (a pure delay)
     quadratic: theta = -lam * omega**2   (chirped delay)
     """
 
-    def __init__(self, kind: str, lam: float):
-        if kind not in _PROFILE_KINDS:
-            raise ValueError(f"profile kind must be one of {_PROFILE_KINDS}")
-        if not math.isfinite(lam) or lam < 0:
-            raise ValueError("profiles need a finite lam >= 0")
-        self.kind = kind
-        self.lam = lam
+    def __init__(self, config: BathConfig):
+        self.kind = config.phase_profile
+        self.lam = config.phase_lambda
 
     def __call__(self, omega):
         w = np.asarray(omega, dtype=float)
@@ -132,38 +120,23 @@ class PhaseProfile:
         return out
 
 
-def profile_from_config(config: BathConfig) -> PhaseProfile:
-    """The profile named by config.phase_profile, with delay config.phase_lambda."""
-    return PhaseProfile(config.phase_profile, config.phase_lambda)
-
-
-@dataclass(frozen=True)
-class PhaseDistribution:
-    """Distribution of a single diffusing phase on the circle.
+def phase_distribution_eval(diffusion: float, x, t: float):
+    """P(x, t) of a single phase diffusing on the circle with coefficient D.
 
     Starts as a delta at x = 0 and spreads as
         P(x, t) = 1/(2 pi) + (1/pi) sum_{m>=1} exp(-m^2 D t) cos(m x),
     the heat kernel on the circle, summed until its terms fall below
     _SERIES_EPS or _MAX_TERMS is reached.
-    """
-
-    diffusion: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.diffusion) and self.diffusion >= 0):
-            raise ValueError(f"diffusion must be finite and >= 0, got {self.diffusion}")
-
-
-def phase_distribution_eval(dist: PhaseDistribution, x, t: float):
-    """P(x, t) for the diffusing phase.
 
     Dt = 0 has no density (delta at x = 0) and raises DeltaLimitError.
     Very small Dt is allowed but warned about: the series needs ~1/sqrt(Dt)
     terms and is truncated at _MAX_TERMS.  t = inf is the uniform limit.
     """
+    if not (math.isfinite(diffusion) and diffusion >= 0):
+        raise ValueError(f"diffusion must be finite and >= 0, got {diffusion}")
     if not t >= 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    dt_prod = dist.diffusion * t
+    dt_prod = diffusion * t
     if not dt_prod > 0.0:  # D t = 0, or 0 * inf: a delta for all time
         raise DeltaLimitError(
             "P(x, t) at D*t = 0 is a delta distribution at x = 0; "

@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .bath import BathConfig, PhaseDistribution, phase_distribution_eval
+from .bath import BathConfig, phase_distribution_eval
 from .dephasing import decoherence_factor, find_dip
 from .geomphase import first_order_coefficient, gamma_comparison, \
     geometric_phase, gp_lambda_sweep, gp_surface
@@ -377,10 +377,9 @@ def _pdist_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
         raise ConfigError(f"nx must be >= 2, got {cfg.nx}")
     if not cfg.times:
         raise ConfigError("at least one snapshot time is required")
-    dist = PhaseDistribution(diffusion=cfg.diffusion)
     x = np.linspace(-math.pi, math.pi, cfg.nx)
     rows = [(t, xi, pi) for t in cfg.times
-            for xi, pi in zip(x, phase_distribution_eval(dist, x, float(t)))]
+            for xi, pi in zip(x, phase_distribution_eval(cfg.diffusion, x, float(t)))]
     return _Table(["t", "x", "P"], rows, [],
                   _metadata(cfg, "pdist", times=list(cfg.times), nx=cfg.nx), {})
 

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bath import BathConfig, PhaseProfile, SpectralDensity, profile_from_config
+from .bath import BathConfig, PhaseProfile, SpectralDensity
 from .numerics import ConvergenceError, QuadratureResult, integrate_semi_infinite
 
 __all__ = [
@@ -91,8 +91,8 @@ class DipReport:
 def beta_integrand(omega, t: float, config: BathConfig):
     """Integrand of beta(t) as a function of frequency (vectorized)."""
     w = np.asarray(omega, dtype=float)
-    density = SpectralDensity.from_config(config)
-    profile = profile_from_config(config)
+    density = SpectralDensity(config)
+    profile = PhaseProfile(config)
     e2 = math.exp(-2.0 * config.diffusion * t)
     e4 = e2 * e2
     bracket = (1.0 - e2) + (e2 - e4) * np.cos(2.0 * (w * t + profile(w)))

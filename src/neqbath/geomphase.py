@@ -110,27 +110,19 @@ def bloch_angle(factor, state: float):
     s = math.sin(theta0)
     n = s * f
     r = np.hypot(c, n)
-    if c >= 0:
+    if c > 0:
         # d = (r - c)/2 rationalized: s^2 F^2 / (2 (r + c))
-        rc = r + c
-        d = np.where(rc > 0, 0.5 * n * n / np.where(rc > 0, rc, 1.0), 0.0)
+        d = 0.5 * n * n / (r + c)
     else:
         d = 0.5 * (r - c)
     # hypot keeps the ratio exact even when n^2 underflows (tiny theta0)
     den = np.hypot(n, 2.0 * d)
     safe = den > 0
-    # den = 0 only with F = 0 (or theta0 = 0); the eigenvector is then
-    # +z whenever the residual cos(theta0) is positive (float cos of
-    # pi/2 is 6e-17, so real angles always land here), with the exact
-    # equator kept as a defensive branch
-    if c > 0:
-        cos_fill, sin_fill = 1.0, 0.0
-    elif c < 0:
-        cos_fill, sin_fill = 0.0, 1.0  # unreachable: d > 0 there
-    else:
-        cos_fill = sin_fill = math.sqrt(0.5)
-    cosp = np.where(safe, n / np.where(safe, den, 1.0), cos_fill)
-    sinp = np.where(safe, 2.0 * d / np.where(safe, den, 1.0), sin_fill)
+    # den = 0 only when n = 0 (F = 0 or theta0 = 0) at c > 0, where the
+    # eigenvector is +z: d >= -c > 0 for c < 0, and no double in [0, pi]
+    # has a cosine of exactly 0 (float cos of pi/2 is 6e-17)
+    cosp = np.where(safe, n / np.where(safe, den, 1.0), 1.0)
+    sinp = np.where(safe, 2.0 * d / np.where(safe, den, 1.0), 0.0)
     if np.isscalar(factor) or np.ndim(factor) == 0:
         return float(cosp), float(sinp)
     return cosp, sinp
@@ -157,6 +149,8 @@ def _cycle_corrections(config: BathConfig, theta0s, gammas, tol: float):
     g = np.asarray(gammas, dtype=float)
     if not np.all(np.isfinite(g) & (g >= 0)):
         raise ValueError(f"gamma must be finite and >= 0, got {g}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     delta, err = np.zeros((len(th), len(g))), np.zeros((len(th), len(g)))
     live = (g > 0) & (config.diffusion > 0)
     if not live.any():

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bath import BathConfig, PhaseProfile, SpectralDensity, profile_from_config
+from .bath import BathConfig, PhaseProfile, SpectralDensity
 from .dephasing import DecoherenceCurve, METHOD_MC
 
 __all__ = [
@@ -98,9 +98,9 @@ class McCurve:
     stderr: np.ndarray
 
 
-def discretize_bath(density: SpectralDensity, profile: PhaseProfile,
-                    n_modes: int, omega_max: float) -> DiscretizedBath:
-    """Midpoint-grid mode decomposition of a spectral density.
+def discretize_bath(config: BathConfig, n_modes: int,
+                    omega_max: float) -> DiscretizedBath:
+    """Midpoint-grid mode decomposition of the bath's spectral density.
 
     Warns when the modes fail to carry the full spectral weight to
     within 1% (grid too coarse or omega_max too small), since missing
@@ -112,11 +112,11 @@ def discretize_bath(density: SpectralDensity, profile: PhaseProfile,
         raise ValueError("omega_max must be finite and positive")
     dw = omega_max / n_modes
     w = (np.arange(n_modes) + 0.5) * dw
-    coupling = np.sqrt(density(w) * dw)
+    coupling = np.sqrt(SpectralDensity(config)(w) * dw)
     if not np.all(np.isfinite(coupling)):
         raise ValueError("mode couplings overflow a double: lower gamma or the ohmicity")
-    theta0 = np.asarray(profile(w), dtype=float)
-    total = 4.0 * density.gamma * math.factorial(density.ohmicity)  # integral of I
+    theta0 = np.asarray(PhaseProfile(config)(w), dtype=float)
+    total = 4.0 * config.gamma * math.factorial(config.ohmicity)  # integral of I
     if total > 0:
         covered = float(np.sum(coupling**2))  # midpoint rule
         rel = abs(covered - total) / total
@@ -183,9 +183,7 @@ def mc_decoherence_factor(config: BathConfig, ensemble: EnsembleConfig) -> McCur
     belongs to |estimate|).
     """
     omega_max = ensemble.omega_max or 20.0 * config.cutoff
-    density = SpectralDensity.from_config(config)
-    bath = discretize_bath(density, profile_from_config(config),
-                           ensemble.n_modes, omega_max)
+    bath = discretize_bath(config, ensemble.n_modes, omega_max)
 
     limits = [1.0 / omega_max]
     if config.diffusion > 0:

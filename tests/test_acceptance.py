@@ -14,7 +14,7 @@ import numpy as np
 
 import conftest
 from finite_difference import finite_difference_curvature, finite_difference_slope
-from neqbath.bath import BathConfig, PhaseDistribution, phase_distribution_eval
+from neqbath.bath import BathConfig, phase_distribution_eval
 from neqbath.cli import main as cli_main
 from neqbath.dephasing import (
     beta_closed,
@@ -208,15 +208,15 @@ def test_08_monte_carlo_validation():
 
 
 def test_09_distribution_pde():
-    dist = PhaseDistribution(diffusion=1.0)
+    diffusion = 1.0
     xs = np.linspace(-math.pi, math.pi, 200)
     worst = 0.0
     for t in np.linspace(0.05, 2.0, 200):
         dpdt = finite_difference_slope(
-            lambda tt: phase_distribution_eval(dist, xs, tt), float(t))
+            lambda tt: phase_distribution_eval(diffusion, xs, tt), float(t))
         d2pdx2 = finite_difference_curvature(
-            lambda xx: phase_distribution_eval(dist, xx, float(t)), xs)
-        worst = max(worst, float(np.max(np.abs(dpdt - dist.diffusion * d2pdx2))))
+            lambda xx: phase_distribution_eval(diffusion, xx, float(t)), xs)
+        worst = max(worst, float(np.max(np.abs(dpdt - diffusion * d2pdx2))))
     ok = worst < 1e-6
     _criterion(9, "distribution-pde", ok,
                f"max |dP/dt - D d2P/dx2| = {worst:.2e} on 200x200 grid, "

@@ -558,6 +558,8 @@ class TestExitCodes:
         (["decoherence", "--tol", "nan"], "tol"),
         (["decoherence", "--tol", "inf"], "tol"),
         (["pdist", "--times", "nan"], "t"),
+        (["pdist", "--diffusion", "-1"], "diffusion"),
+        (["pdist", "--diffusion", "nan"], "diffusion"),
     ])
     def test_nonfinite_input_is_a_config_error(self, argv, field, tmp_path, capsys):
         # formerly exit 3 (or 2 with a message naming no input) for the

@@ -116,6 +116,17 @@ class TestGeometricPhase:
         # formerly 0.4 s of refinement, then "stalled at error 3.597e-17"
         with pytest.raises(ValueError, match="tol must be positive, got nan"):
             geometric_phase(cfg(0.5), 0.7, tol=math.nan)
+        # no live coupling (gamma = 0, or D = 0) means no integral to check
+        # tol: formerly every entry point then returned delta = 0
+        for c in (cfg(0.0), cfg(0.5, diffusion=0.0)):
+            for bad in (math.nan, -1.0, 0.0):
+                match = f"tol must be positive, got {bad}"
+                with pytest.raises(ValueError, match=match):
+                    geometric_phase(c, 0.7, tol=bad)
+                with pytest.raises(ValueError, match=match):
+                    gp_surface(c, [0.7], [c.gamma], tol=bad)
+                with pytest.raises(ValueError, match=match):
+                    gamma_comparison(c, 0.7, [c.gamma], tol=bad)
 
     def test_array_of_states_shares_one_integral(self):
         th = np.array([0.0, 0.3, math.pi / 2.0, 2.5, math.pi])

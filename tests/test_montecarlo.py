@@ -9,14 +9,14 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from neqbath import montecarlo
-from neqbath.bath import BathConfig, PhaseProfile, SpectralDensity, \
-    profile_from_config
+from neqbath.bath import BathConfig
 from neqbath.dephasing import METHOD_MC, beta_closed
 from neqbath.montecarlo import (
     _CHUNK,
@@ -34,8 +34,7 @@ CFG = BathConfig(gamma=0.3, cutoff=1.0, diffusion=0.2, phase_lambda=1.0)
 
 class TestDiscretize:
     def test_midpoint_grid_and_profile(self):
-        sd = SpectralDensity(0.5, 1.0, 1)
-        bath = discretize_bath(sd, PhaseProfile("linear", 1.0), 128, 20.0)
+        bath = discretize_bath(replace(CFG, gamma=0.5), 128, 20.0)
         dw = np.diff(bath.omega)
         assert dw == pytest.approx(np.full(127, 20.0 / 128))
         assert bath.omega[0] == pytest.approx(dw[0] / 2.0)
@@ -44,29 +43,25 @@ class TestDiscretize:
 
     @pytest.mark.parametrize("gamma,n,weight", [(0.5, 1, 2.0), (3.0, 3, 72.0)])
     def test_covered_weight_near_total(self, gamma, n, weight):
-        sd = SpectralDensity(gamma, 1.0, n)
-        bath = discretize_bath(sd, PhaseProfile("linear", 1.0), 512, 60.0)
+        bath = discretize_bath(replace(CFG, gamma=gamma, ohmicity=n), 512, 60.0)
         assert np.sum(bath.coupling**2) == pytest.approx(weight, rel=0.01)
 
     def test_zero_coupling_limit(self):
-        sd = SpectralDensity(0.0, 1.0, 1)
-        bath = discretize_bath(sd, PhaseProfile("linear", 1.0), 32, 20.0)
+        bath = discretize_bath(replace(CFG, gamma=0.0), 32, 20.0)
         assert np.all(bath.coupling == 0.0)
 
     def test_coarse_grid_warns(self):
-        sd = SpectralDensity(0.5, 1.0, 1)
         with pytest.warns(UserWarning, match="spectral weight"):
-            discretize_bath(sd, PhaseProfile("linear", 1.0), 4, 60.0)
+            discretize_bath(replace(CFG, gamma=0.5), 4, 60.0)
 
     def test_bad_arguments(self):
-        sd = SpectralDensity(0.5, 1.0, 1)
         with pytest.raises(ValueError):
-            discretize_bath(sd, PhaseProfile("linear", 1.0), 0, 20.0)
+            discretize_bath(CFG, 0, 20.0)
         with pytest.raises(ValueError):
-            discretize_bath(sd, PhaseProfile("linear", 1.0), 16, 0.0)
+            discretize_bath(CFG, 16, 0.0)
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="omega_max"):
-                discretize_bath(sd, PhaseProfile("linear", 1.0), 16, bad)
+                discretize_bath(CFG, 16, bad)
 
 
 def built_paths(diffusion, dt, horizon, seed, n_modes=1):
@@ -330,9 +325,7 @@ class TestFiniteModeOracle:
         ens = EnsembleConfig(n_modes=n_modes, n_trajectories=n_trajectories,
                              seed=20240817, dt=0.005, horizon=10.0)
         mc = mc_decoherence_factor(WEAK, ens)
-        bath = discretize_bath(SpectralDensity.from_config(WEAK),
-                               profile_from_config(WEAK), n_modes,
-                               20.0 * WEAK.cutoff)
+        bath = discretize_bath(WEAK, n_modes, 20.0 * WEAK.cutoff)
         exact = np.abs(finite_mode_factor(bath, WEAK.diffusion, mc.times))
         live = mc.stderr > 0
         z = (np.abs(mc.estimates[live]) - exact[live]) / mc.stderr[live]
@@ -357,9 +350,7 @@ def serial_reference(config, ens):
     """(estimates, stderr) from the one-trajectory-at-a-time loop that
     preceded the thread pool, frozen here as the bit-for-bit reference.
     Only its mode sum follows the chunked trajectory (see chunk_sum)."""
-    bath = discretize_bath(SpectralDensity.from_config(config),
-                           profile_from_config(config), ens.n_modes,
-                           ens.omega_max)
+    bath = discretize_bath(config, ens.n_modes, ens.omega_max)
     nt = int(round(ens.horizon / ens.dt))
     times = np.arange(nt + 1) * ens.dt
     acc = np.empty((ens.n_trajectories, nt + 1), dtype=complex)
