@@ -45,11 +45,9 @@ from .geomphase import (
 from .montecarlo import (
     DiscretizedBath,
     EnsembleConfig,
-    McCurve,
     discretize_bath,
     endpoint_phase,
     mc_decoherence_factor,
-    to_decoherence_curve,
 )
 from .numerics import (
     ConvergenceError,

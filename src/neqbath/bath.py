@@ -34,7 +34,8 @@ class DeltaLimitError(ValueError):
 
 @dataclass(frozen=True)
 class BathConfig:
-    """Physical parameters of the qubit-bath problem.
+    """Physical parameters of the qubit-bath problem, in units of the drive
+    frequency Omega = 1 (rates over Omega, times Omega t).
 
     gamma: overall coupling strength
     cutoff: spectral cutoff frequency (Lambda)
@@ -42,7 +43,6 @@ class BathConfig:
     ohmicity: spectral exponent n (1 = ohmic, 3 = supraohmic), at most 170,
         the largest n whose n! (total spectral weight / 4 gamma) is a finite double
     phase_lambda: delay parameter of the initial phase profile
-    omega: drive frequency of the quasi-cyclic evolution
     phase_profile: "linear" or "quadratic"
     """
 
@@ -51,7 +51,6 @@ class BathConfig:
     diffusion: float
     phase_lambda: float
     ohmicity: int = 1
-    omega: float = 1.0
     phase_profile: str = "linear"
 
     def __post_init__(self):
@@ -67,8 +66,6 @@ class BathConfig:
             raise ValueError(f"ohmicity must be an integer, got {self.ohmicity!r}")
         if not 1 <= self.ohmicity <= _MAX_OHMICITY:
             raise ValueError(f"ohmicity must lie in [1, {_MAX_OHMICITY}], got {self.ohmicity}")
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"omega must be finite and > 0, got {self.omega}")
         if self.phase_profile not in _PROFILE_KINDS:
             raise ValueError(
                 f"phase_profile must be one of {_PROFILE_KINDS}, got {self.phase_profile!r}"
@@ -95,10 +92,7 @@ class SpectralDensity:
         x = w / self.cutoff
         # past the largest double: inf or nan, which every caller rejects
         with np.errstate(over="ignore", invalid="ignore"):
-            out = (4.0 * self.gamma / self.cutoff) * x**self.ohmicity * np.exp(-x)
-        if np.isscalar(omega) or np.ndim(omega) == 0:
-            return float(out)
-        return out
+            return (4.0 * self.gamma / self.cutoff) * x**self.ohmicity * np.exp(-x)
 
 
 class PhaseProfile:
@@ -114,10 +108,7 @@ class PhaseProfile:
 
     def __call__(self, omega):
         w = np.asarray(omega, dtype=float)
-        out = -self.lam * w if self.kind == "linear" else -self.lam * w * w
-        if np.isscalar(omega) or np.ndim(omega) == 0:
-            return float(out)
-        return out
+        return -self.lam * w if self.kind == "linear" else -self.lam * w * w
 
 
 def phase_distribution_eval(diffusion: float, x, t: float):
@@ -129,8 +120,8 @@ def phase_distribution_eval(diffusion: float, x, t: float):
     _SERIES_EPS or _MAX_TERMS is reached.
 
     Dt = 0 has no density (delta at x = 0) and raises DeltaLimitError.
-    Very small Dt is allowed but warned about: the series needs ~1/sqrt(Dt)
-    terms and is truncated at _MAX_TERMS.  t = inf is the uniform limit.
+    The series needs ~1/sqrt(Dt) terms; below Dt ~ 2.8e-7 it is truncated
+    at _MAX_TERMS, with one warning.  t = inf is the uniform limit.
     """
     if not (math.isfinite(diffusion) and diffusion >= 0):
         raise ValueError(f"diffusion must be finite and >= 0, got {diffusion}")
@@ -141,12 +132,6 @@ def phase_distribution_eval(diffusion: float, x, t: float):
         raise DeltaLimitError(
             "P(x, t) at D*t = 0 is a delta distribution at x = 0; "
             "evaluate at D*t > 0 or handle the initial condition directly"
-        )
-    if dt_prod < 1e-6:
-        warnings.warn(
-            f"D*t = {dt_prod:.3e} is extremely small; the series needs "
-            "many terms and the result is close to a delta",
-            stacklevel=2,
         )
     # may be inf when D*t is subnormal, so it is capped before rounding up
     m_needed = math.sqrt(math.log(1.0 / _SERIES_EPS) / dt_prod)
@@ -164,6 +149,4 @@ def phase_distribution_eval(diffusion: float, x, t: float):
         m = np.arange(m0, min(m0 + 512, m_terms + 1), dtype=float)
         amp = np.exp(-m * m * dt_prod)
         out = out + (np.cos(np.multiply.outer(xa, m)) @ amp) / math.pi
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
     return out

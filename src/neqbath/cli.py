@@ -29,8 +29,7 @@ from .bath import BathConfig, phase_distribution_eval
 from .dephasing import decoherence_factor, find_dip
 from .geomphase import first_order_coefficient, gamma_comparison, \
     geometric_phase, gp_lambda_sweep, gp_surface
-from .montecarlo import EnsembleConfig, mc_decoherence_factor, \
-    to_decoherence_curve
+from .montecarlo import EnsembleConfig, mc_decoherence_factor
 from .numerics import ConvergenceError
 
 __all__ = ["ConfigError", "RunConfig", "main"]
@@ -52,7 +51,6 @@ class RunConfig:
     diffusion: float = 0.1
     phase_lambda: float = 1.0
     ohmicity: int = 1
-    omega: float = 1.0
     profile: str = "linear"
     theta0: float = math.pi / 4.0
     grid: tuple = (0.0, 10.0, 0.01)
@@ -72,7 +70,7 @@ class RunConfig:
         return BathConfig(
             gamma=self.gamma, cutoff=self.cutoff, diffusion=self.diffusion,
             phase_lambda=self.phase_lambda, ohmicity=self.ohmicity,
-            omega=self.omega, phase_profile=self.profile,
+            phase_profile=self.profile,
         )
 
 
@@ -239,7 +237,6 @@ def _metadata(cfg: RunConfig, command: str, **extra) -> dict:
         "diffusion": cfg.diffusion,
         "phase_lambda": cfg.phase_lambda,
         "ohmicity": cfg.ohmicity,
-        "omega": cfg.omega,
         "profile": cfg.profile,
     }
     meta.update(extra)
@@ -334,7 +331,7 @@ def _gp_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
                                 lambda_grid=list(cfg.lambda_grid)), extra)
     if cfg.mode == "gamma":
         ga = grid_array(cfg.gamma_grid)
-        _, exact, pred = gamma_comparison(bath, cfg.theta0, ga)
+        exact, pred = gamma_comparison(bath, cfg.theta0, ga)
         rows = list(zip(ga, exact, pred))
         coeff = first_order_coefficient(bath)
         comments = [
@@ -357,11 +354,9 @@ def _mc_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
     ens = EnsembleConfig(n_modes=cfg.n_modes, n_trajectories=cfg.n_trajectories,
                          seed=cfg.seed, dt=cfg.dt, horizon=cfg.horizon)
     mc = mc_decoherence_factor(bath, ens)
-    mc_curve = to_decoherence_curve(mc)
     analytic = decoherence_factor(mc.times, bath)
-    dev = mc_curve.values - analytic.values
-    rows = list(zip(mc.times, mc_curve.values, mc_curve.errors,
-                    analytic.values, dev))
+    dev = mc.values - analytic.values
+    rows = list(zip(mc.times, mc.values, mc.errors, analytic.values, dev))
     max_dev = float(np.max(np.abs(dev)))
     return _Table(["t", "F_mc", "stderr", "F_analytic", "dev"], rows,
                   [f"max|F_mc - F_analytic| = {_fmt(max_dev)}"],

@@ -96,10 +96,7 @@ def beta_integrand(omega, t: float, config: BathConfig):
     e2 = math.exp(-2.0 * config.diffusion * t)
     e4 = e2 * e2
     bracket = (1.0 - e2) + (e2 - e4) * np.cos(2.0 * (w * t + profile(w)))
-    out = 0.25 * density(w) * bracket
-    if np.isscalar(omega) or np.ndim(omega) == 0:
-        return float(out)
-    return out
+    return 0.25 * density(w) * bracket
 
 
 def beta_closed(t, config: BathConfig):
@@ -128,11 +125,8 @@ def beta_closed(t, config: BathConfig):
         y = 2.0 * config.cutoff * (ta - config.phase_lambda)
         q = np.cos(k * np.arctan(y)) * (1.0 / np.hypot(1.0, y)) ** k
         a = -np.expm1(-2.0 * config.diffusion * ta)
-        beta = config.gamma * (float(math.factorial(config.ohmicity)) * a
+        return config.gamma * (float(math.factorial(config.ohmicity)) * a
                                * (1.0 + (1.0 - a) * q))
-    if np.isscalar(t) or np.ndim(t) == 0:
-        return float(beta)
-    return beta
 
 
 def _oscillation_controls(t: float, config: BathConfig):

@@ -1,13 +1,14 @@
 """Non-unitary geometric phase of the dephasing qubit.
 
-Over one quasi-cycle of duration 2 pi / Omega the qubit density matrix
-keeps its populations while the coherence shrinks by F(t).  The larger
+Times are in units of 1 / Omega, Omega being the drive frequency, so a
+quasi-cycle lasts 2 pi.  Over it the qubit density matrix keeps its
+populations while the coherence shrinks by F(t).  The larger
 eigenvalue eps_+ of the density matrix defines an instantaneous Bloch
 direction through its eigenvector, parametrized here by the spinor
 half-angle theta_+ (so F = 1 gives theta_+ = theta0 / 2).  The phase
 accumulated by that eigenvector,
 
-    phi_G = Omega * int_0^{2 pi / Omega} cos(theta_+(t))^2 dt,
+    phi_G = int_0^{2 pi} cos(theta_+(t))^2 dt,
 
 reduces to the unitary value phi_U = pi (1 + cos theta0) when the bath
 is off.  The decoherence-induced correction delta = phi_G - phi_U is
@@ -123,8 +124,6 @@ def bloch_angle(factor, state: float):
     # has a cosine of exactly 0 (float cos of pi/2 is 6e-17)
     cosp = np.where(safe, n / np.where(safe, den, 1.0), 1.0)
     sinp = np.where(safe, 2.0 * d / np.where(safe, den, 1.0), 0.0)
-    if np.isscalar(factor) or np.ndim(factor) == 0:
-        return float(cosp), float(sinp)
     return cosp, sinp
 
 
@@ -137,7 +136,7 @@ _COMPONENTS = 4096  # (theta0, gamma) pairs per cycle integral: bounds its node 
 
 
 def _cycle_corrections(config: BathConfig, theta0s, gammas, tol: float):
-    """Cycle corrections delta = Omega * int (cos(theta_+)^2 - cos(theta0/2)^2) dt
+    """Cycle corrections delta = int_0^{2 pi} (cos(theta_+)^2 - cos(theta0/2)^2) dt
     and their errors, to absolute tol, as (len(theta0s), len(gammas)) arrays.
 
     beta is independent of theta0 and linear in gamma: each node batch takes
@@ -165,10 +164,10 @@ def _cycle_corrections(config: BathConfig, theta0s, gammas, tol: float):
             with np.errstate(over="ignore"):  # gamma beta past the largest double: F = 0
                 factor = np.exp(-col * beta_values(ts, unit, 1e-12 / col.max())[0])
             # one (live gamma, node) block per row, all over the same F
-            return config.omega * np.concatenate(
+            return np.concatenate(
                 [bloch_angle(factor, t)[0] ** 2 - math.cos(0.5 * t) ** 2 for t in group])
 
-        res = integrate_finite(integrand, 0.0, 2.0 * math.pi / config.omega, tol=tol)
+        res = integrate_finite(integrand, 0.0, 2.0 * math.pi, tol=tol)
         if not res.converged:
             raise ConvergenceError(
                 f"geometric-phase integral stalled at error {res.error.max():.3e}",
@@ -202,21 +201,20 @@ def first_order_coefficient(config: BathConfig) -> float:
     cos(theta0) / 2 at F = 1, so
 
         delta = gamma * C * sin(theta0)^2 cos(theta0) + O(gamma^2),
-        C = (Omega / 2) * int_0^{2 pi / Omega} beta(t) / gamma dt.
+        C = (1/2) * int_0^{2 pi} beta(t) / gamma dt.
 
     The cycle integral is taken to 1e-12 on C with beta at gamma = 1,
     by the same closed-form or quadrature route as geometric_phase.
     """
     unit = dataclasses.replace(config, gamma=1.0)
-    period = 2.0 * math.pi / config.omega
-    res = integrate_finite(lambda ts: beta_values(ts, unit, 1e-12)[0], 0.0, period,
-                           tol=2e-12 / config.omega)
+    res = integrate_finite(lambda ts: beta_values(ts, unit, 1e-12)[0], 0.0, 2.0 * math.pi,
+                           tol=2e-12)
     if not res.converged:
         raise ConvergenceError(
             f"first-order cycle integral stalled at error {res.error:.3e}",
             result=res,
         )
-    return 0.5 * config.omega * res.value
+    return 0.5 * res.value
 
 
 def first_order_correction(config: BathConfig,
@@ -238,29 +236,28 @@ def perturbative_correction(config: BathConfig,
     """The paper's closed-form first-order prediction of the correction.
 
     delta ~ gamma * C_n * sin(theta0)^2 cos(theta0) with the cycle
-    coefficient
+    coefficient, in units of the drive frequency (Omega = 1),
 
-        C_1 = pi + Omega D exp(-2 D lam) / cutoff^2
-        C_3 = 6 pi + Omega D^3 exp(-2 D lam) / (4 cutoff^4)
+        C_1 = pi + D exp(-2 D lam) / cutoff^2
+        C_3 = 6 pi + D^3 exp(-2 D lam) / (4 cutoff^4)
 
     This is the paper's asymptotic coefficient, the quantity plotted
     against the exact correction in the comparison experiments.  It
-    shares the D / Omega -> infinity limit (pi, 6 pi) of the exact
-    first-order coefficient C of first_order_coefficient, but at finite
-    D / Omega it lies above C, at every gamma: at D = cutoff = lambda =
-    Omega = 1 by 12.4% (n = 1) and 8.9% (n = 3); at D / Omega = 100 by
-    less than 0.1%.  first_order_correction gives the exact first-order
-    term.  Other ohmicities have no tabulated coefficient here.
+    shares the D -> infinity limit (pi, 6 pi) of the exact first-order
+    coefficient C of first_order_coefficient, but at finite D it lies
+    above C, at every gamma: at D = cutoff = lambda = 1 by 12.4%
+    (n = 1) and 8.9% (n = 3); at D = 100 by less than 0.1%.
+    first_order_correction gives the exact first-order term.  Other
+    ohmicities have no tabulated coefficient here.
     """
     theta0 = _theta0_of(state)
     d = config.diffusion
     lam = config.phase_lambda
     c = config.cutoff  # divided out, not raised: float ** overflows, c**2 can reach 0
     if config.ohmicity == 1:
-        coeff = math.pi + config.omega * d * math.exp(-2.0 * d * lam) / c / c
+        coeff = math.pi + d * math.exp(-2.0 * d * lam) / c / c
     elif config.ohmicity == 3:
-        coeff = 6.0 * math.pi + config.omega * d * d * d * math.exp(-2.0 * d * lam) \
-            / 4.0 / c / c / c / c
+        coeff = 6.0 * math.pi + d * d * d * math.exp(-2.0 * d * lam) / 4.0 / c / c / c / c
     else:
         raise ValueError(
             f"no first-order coefficient for ohmicity {config.ohmicity}; "
@@ -318,7 +315,7 @@ def gp_lambda_sweep(config: BathConfig, theta0_grid: Sequence[float],
 def gamma_comparison(config: BathConfig, state: float,
                      gamma_grid: Sequence[float],
                      tol: float = 1e-9):
-    """(gamma, exact phi_g, first-order phi_g) arrays for one state.
+    """(exact phi_g, first-order phi_g) arrays over gamma_grid for one state.
 
     The first-order column is phi_u + perturbative_correction, the
     curve the exact one should hug at small gamma and peel away from
@@ -330,4 +327,4 @@ def gamma_comparison(config: BathConfig, state: float,
     pred = np.array([phi_u + perturbative_correction(
         dataclasses.replace(config, gamma=float(g)), theta0) for g in ga])
     exact = phi_u + _cycle_corrections(config, [theta0], ga, tol)[0][0]
-    return ga, exact, pred
+    return exact, pred

@@ -35,11 +35,9 @@ from .dephasing import DecoherenceCurve, METHOD_MC
 __all__ = [
     "DiscretizedBath",
     "EnsembleConfig",
-    "McCurve",
     "discretize_bath",
     "endpoint_phase",
     "mc_decoherence_factor",
-    "to_decoherence_curve",
 ]
 
 
@@ -87,15 +85,6 @@ class EnsembleConfig:
         if self.omega_max is not None and not (
                 self.omega_max > 0 and math.isfinite(self.omega_max)):
             raise ValueError(f"omega_max must be finite and positive, got {self.omega_max}")
-
-
-@dataclass
-class McCurve:
-    """Ensemble average of exp(-i phi) on the simulation time grid."""
-
-    times: np.ndarray
-    estimates: np.ndarray  # complex
-    stderr: np.ndarray
 
 
 def discretize_bath(config: BathConfig, n_modes: int,
@@ -174,13 +163,12 @@ def endpoint_phase(bath: DiscretizedBath, paths: np.ndarray,
     return np.einsum("k,kj->j", bath.coupling, ph)  # no BLAS: no thread-dependent bits
 
 
-def mc_decoherence_factor(config: BathConfig, ensemble: EnsembleConfig) -> McCurve:
-    """Ensemble estimate of the decoherence factor.
+def mc_decoherence_factor(config: BathConfig, ensemble: EnsembleConfig) -> DecoherenceCurve:
+    """Ensemble estimate of the decoherence factor on the simulation time grid.
 
-    Returns the complex mean of exp(-i phi) per grid time plus a
-    delta-method standard error of its modulus (the spread of the
-    component along the mean direction, which is the error bar that
-    belongs to |estimate|).
+    The values are the modulus of the mean of exp(-i phi) per grid time,
+    the errors a delta-method standard error of that modulus (the spread
+    of the component along the mean direction), NaN for one trajectory.
     """
     omega_max = ensemble.omega_max or 20.0 * config.cutoff
     bath = discretize_bath(config, ensemble.n_modes, omega_max)
@@ -238,10 +226,4 @@ def mc_decoherence_factor(config: BathConfig, ensemble: EnsembleConfig) -> McCur
         stderr = np.sqrt(along.var(axis=0, ddof=1) / m_total)
     else:
         stderr = np.full(nt + 1, np.nan)
-    return McCurve(times=times, estimates=mean, stderr=stderr)
-
-
-def to_decoherence_curve(mc: McCurve) -> DecoherenceCurve:
-    """|estimate| with its standard error, as a standard curve."""
-    return DecoherenceCurve(times=mc.times, values=np.abs(mc.estimates),
-                            errors=mc.stderr, method=METHOD_MC)
+    return DecoherenceCurve(times, mod, stderr, METHOD_MC)

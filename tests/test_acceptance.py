@@ -32,7 +32,6 @@ from neqbath.geomphase import (
 from neqbath.montecarlo import (
     EnsembleConfig,
     mc_decoherence_factor,
-    to_decoherence_curve,
 )
 
 STRONG = dict(gamma=3.0, cutoff=1.0, diffusion=0.5, phase_lambda=1.0)
@@ -187,14 +186,13 @@ def test_08_monte_carlo_validation():
     mc = mc_decoherence_factor(cfg, ens)
     elapsed = time.perf_counter() - start
     analytic = np.exp(-beta_closed(mc.times, cfg))
-    dev = np.abs(np.abs(mc.estimates) - analytic)
-    bound = np.maximum(0.05, 3.0 * mc.stderr)
+    dev = np.abs(mc.values - analytic)
+    bound = np.maximum(0.05, 3.0 * mc.errors)
     pointwise = bool(np.all(dev < bound))
 
-    curve = to_decoherence_curve(mc)
-    early = curve.times <= 3.0
-    sub = type(curve)(times=curve.times[early], values=curve.values[early],
-                      errors=curve.errors[early], method=curve.method)
+    early = mc.times <= 3.0
+    sub = type(mc)(times=mc.times[early], values=mc.values[early],
+                   errors=mc.errors[early], method=mc.method)
     dip = find_dip(sub)
     dip_ok = (dip is not None and abs(dip.time - 1.0) <= 0.25
               and dip.prominence > 3.0 * sub.errors[dip.index])

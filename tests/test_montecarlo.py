@@ -17,7 +17,7 @@ import pytest
 
 from neqbath import montecarlo
 from neqbath.bath import BathConfig
-from neqbath.dephasing import METHOD_MC, beta_closed
+from neqbath.dephasing import METHOD_MC, DecoherenceCurve, beta_closed
 from neqbath.montecarlo import (
     _CHUNK,
     DiscretizedBath,
@@ -26,7 +26,6 @@ from neqbath.montecarlo import (
     discretize_bath,
     endpoint_phase,
     mc_decoherence_factor,
-    to_decoherence_curve,
 )
 
 CFG = BathConfig(gamma=0.3, cutoff=1.0, diffusion=0.2, phase_lambda=1.0)
@@ -190,21 +189,21 @@ class TestEnsembleRuns:
     def test_tracks_analytic_curve(self):
         mc = mc_decoherence_factor(CFG, self.small_ensemble())
         analytic = np.exp(-beta_closed(mc.times, CFG))
-        dev = np.abs(np.abs(mc.estimates) - analytic)
+        dev = np.abs(mc.values - analytic)
         # every point within 3 standard errors (with a floor for the
         # early, nearly noise-free region) at this fixed seed
-        assert np.all(dev <= np.maximum(3.0 * mc.stderr, 0.012))
+        assert np.all(dev <= np.maximum(3.0 * mc.errors, 0.012))
         assert float(dev.max()) < 0.05
 
     def test_modulus_bounded_by_one_plus_noise(self):
         mc = mc_decoherence_factor(CFG, self.small_ensemble())
-        assert np.all(np.abs(mc.estimates) <= 1.0 + 3.0 * mc.stderr + 1e-12)
+        assert np.all(mc.values <= 1.0 + 3.0 * mc.errors + 1e-12)
 
     def test_stderr_halves_like_sqrt2(self):
         se1 = mc_decoherence_factor(
-            CFG, self.small_ensemble(n_trajectories=300, seed=77)).stderr
+            CFG, self.small_ensemble(n_trajectories=300, seed=77)).errors
         se2 = mc_decoherence_factor(
-            CFG, self.small_ensemble(n_trajectories=600, seed=78)).stderr
+            CFG, self.small_ensemble(n_trajectories=600, seed=78)).errors
         mask = se2 > 1e-12
         ratio = float(np.median(se1[mask] / se2[mask]))
         assert ratio == pytest.approx(math.sqrt(2.0), rel=0.2)
@@ -213,11 +212,11 @@ class TestEnsembleRuns:
         ens = self.small_ensemble(n_trajectories=40, horizon=2.0)
         a = mc_decoherence_factor(CFG, ens)
         b = mc_decoherence_factor(CFG, ens)
-        assert np.array_equal(a.estimates, b.estimates)
-        assert np.array_equal(a.stderr, b.stderr)
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.errors, b.errors)
         c = mc_decoherence_factor(CFG, self.small_ensemble(
             n_trajectories=40, horizon=2.0, seed=99))
-        assert not np.array_equal(a.estimates, c.estimates)
+        assert not np.array_equal(a.values, c.values)
 
     def test_no_diffusion_keeps_unit_modulus(self):
         frozen = BathConfig(gamma=0.3, cutoff=1.0, diffusion=0.0,
@@ -225,12 +224,13 @@ class TestEnsembleRuns:
         ens = EnsembleConfig(n_modes=64, n_trajectories=20, seed=2, dt=0.01,
                              horizon=2.0, omega_max=10.0)
         mc = mc_decoherence_factor(frozen, ens)
-        assert np.max(np.abs(np.abs(mc.estimates) - 1.0)) < 1e-12
+        assert np.max(np.abs(mc.values - 1.0)) < 1e-12
 
     def test_coarse_dt_warns(self):
         ens = EnsembleConfig(n_modes=16, n_trajectories=5, seed=1, dt=0.02,
                              horizon=1.0)
-        with pytest.warns(UserWarning, match="coarse"):
+        with pytest.warns(UserWarning, match="coarse"), \
+                pytest.warns(UserWarning, match="spectral weight"):
             mc_decoherence_factor(CFG, ens)
 
     def test_result_does_not_depend_on_worker_count(self, monkeypatch):
@@ -248,8 +248,8 @@ class TestEnsembleRuns:
                     monkeypatch.setattr(montecarlo, "_worker_count",
                                         lambda workers=workers: workers)
                     got = mc_decoherence_factor(CFG, ens)
-                    assert got.estimates.tobytes() == want[0].tobytes()
-                    assert got.stderr.tobytes() == want[1].tobytes()
+                    assert got.values.tobytes() == want[0].tobytes()
+                    assert got.errors.tobytes() == want[1].tobytes()
         finally:
             sys.setswitchinterval(interval)
 
@@ -291,10 +291,8 @@ class TestEnsembleRuns:
     def test_curve_conversion(self):
         mc = mc_decoherence_factor(CFG, self.small_ensemble(
             n_trajectories=30, horizon=2.0))
-        curve = to_decoherence_curve(mc)
-        assert curve.method == METHOD_MC
-        assert np.array_equal(curve.values, np.abs(mc.estimates))
-        assert np.array_equal(curve.errors, mc.stderr)
+        assert isinstance(mc, DecoherenceCurve)
+        assert mc.method == METHOD_MC
 
 
 WEAK = BathConfig(gamma=0.5, cutoff=1.0, diffusion=0.1, phase_lambda=1.0)
@@ -327,8 +325,8 @@ class TestFiniteModeOracle:
         mc = mc_decoherence_factor(WEAK, ens)
         bath = discretize_bath(WEAK, n_modes, 20.0 * WEAK.cutoff)
         exact = np.abs(finite_mode_factor(bath, WEAK.diffusion, mc.times))
-        live = mc.stderr > 0
-        z = (np.abs(mc.estimates[live]) - exact[live]) / mc.stderr[live]
+        live = mc.errors > 0
+        z = (mc.values[live] - exact[live]) / mc.errors[live]
         assert 0.5 <= math.sqrt(float(np.mean(z**2))) <= 1.5
         assert float(np.max(np.abs(z))) < 5.0
         if n_modes == 512:
@@ -347,7 +345,7 @@ def chunk_sum(coupling, values):
 
 
 def serial_reference(config, ens):
-    """(estimates, stderr) from the one-trajectory-at-a-time loop that
+    """(|mean|, stderr) from the one-trajectory-at-a-time loop that
     preceded the thread pool, frozen here as the bit-for-bit reference.
     Only its mode sum follows the chunked trajectory (see chunk_sum)."""
     bath = discretize_bath(config, ens.n_modes, ens.omega_max)
@@ -370,4 +368,4 @@ def serial_reference(config, ens):
     unit = np.where(mod > 0, mean / np.where(mod > 0, mod, 1.0), 1.0 + 0j)
     along = acc.real * unit.real[None, :] + acc.imag * unit.imag[None, :]
     stderr = np.sqrt(along.var(axis=0, ddof=1) / ens.n_trajectories)
-    return mean, stderr
+    return mod, stderr
