@@ -45,9 +45,11 @@ from .geomphase import (
 from .montecarlo import (
     DiscretizedBath,
     EnsembleConfig,
+    PhaseTable,
     discretize_bath,
     endpoint_phase,
     mc_decoherence_factor,
+    phase_table,
 )
 from .numerics import (
     ConvergenceError,

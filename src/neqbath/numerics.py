@@ -94,7 +94,9 @@ def _eval_panels(f: Callable, a: np.ndarray, b: np.ndarray):
     vals = np.asarray(f(pts.ravel()), dtype=float)
     vals = vals.reshape(vals.shape[:-1] + pts.shape)
     if not np.all(np.isfinite(vals)):
-        raise ValueError("integrand returned a non-finite value")
+        bad = ~np.isfinite(vals).reshape(-1, pts.size).all(axis=0)
+        x = float(pts.ravel()[np.argmax(bad)])  # the first bad node
+        raise ValueError(f"integrand returned a non-finite value at x = {x!r}")
     k15 = h * (vals @ _WK_FULL)
     g7 = h * (vals[..., 1::2] @ _WG_FULL)
     return k15, np.abs(k15 - g7)

@@ -26,6 +26,7 @@ from neqbath.montecarlo import (
     discretize_bath,
     endpoint_phase,
     mc_decoherence_factor,
+    phase_table,
 )
 
 CFG = BathConfig(gamma=0.3, cutoff=1.0, diffusion=0.2, phase_lambda=1.0)
@@ -131,29 +132,87 @@ def single_mode_bath(c=0.3, w=1.7, th=0.4):
                            theta0=np.array([th]))
 
 
+def float32_bound(coupling, arg):
+    """The reading's stated error bound, sum_k |c_k| 2^-23 (max |arg| + 1),
+    with arg the float32 sine's argument (reduced base plus path)."""
+    return float(np.sum(np.abs(coupling))) * 2.0**-23 * (float(np.max(np.abs(arg))) + 1.0)
+
+
 class TestAccumulation:
-    def test_endpoint_reading_is_exact_on_frozen_paths(self):
+    def test_endpoint_reading_on_frozen_paths(self):
         bath = single_mode_bath()
         c, w, th = 0.3, 1.7, 0.4
         times = np.linspace(0.0, 2.0, 21)
         paths = np.zeros((1, 21))
-        got = endpoint_phase(bath, paths, times)
+        table = phase_table(bath, times)
+        got = endpoint_phase(bath, paths, table)
         exact = c * (np.sin(w * times + th) - math.sin(th))
-        assert np.allclose(got, exact, rtol=0, atol=1e-15)
+        assert np.allclose(got, exact, rtol=0, atol=float32_bound([c], table.base))
 
     def test_zero_couplings_give_zero_phase(self):
         bath = DiscretizedBath(omega=np.array([1.0]), coupling=np.array([0.0]),
                                theta0=np.array([0.5]))
         times = np.linspace(0.0, 1.0, 11)
-        assert np.all(endpoint_phase(bath, np.zeros((1, 11)), times) == 0.0)
+        table = phase_table(bath, times)
+        assert np.all(endpoint_phase(bath, np.zeros((1, 11)), table) == 0.0)
 
     def test_shape_validation(self):
         bath = single_mode_bath()
-        times = np.linspace(0.0, 1.0, 11)
+        table = phase_table(bath, np.linspace(0.0, 1.0, 11))
         with pytest.raises(ValueError, match="shape"):
-            endpoint_phase(bath, np.zeros((2, 11)), times)
+            endpoint_phase(bath, np.zeros((2, 11)), table)
         with pytest.raises(ValueError, match="shape"):
-            endpoint_phase(bath, np.zeros((1, 10)), times)
+            endpoint_phase(bath, np.zeros((1, 10)), table)
+
+
+class TestFloat32Reading:
+    """The float32 sine against the float64 formula it replaced, over one
+    full trajectory of the criterion-8 ensemble (512 modes, dt 0.005,
+    horizon 10), at its D = 0.1 and at D = 10, where |x| reaches tens."""
+
+    @pytest.mark.parametrize("diffusion", [0.1, 10.0])
+    def test_full_trajectory_within_bound(self, diffusion):
+        config = BathConfig(gamma=0.5, cutoff=1.0, diffusion=diffusion,
+                            phase_lambda=1.0)
+        n_modes, dt, nt = 512, 0.005, 2000
+        bath = discretize_bath(config, n_modes, 20.0)
+        times = np.arange(nt + 1) * dt
+        key = np.random.SeedSequence(20240817).generate_state(2, np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key, counter=0))
+        paths = np.zeros((n_modes, nt + 1))
+        _fill_paths(paths, np.empty((_CHUNK, nt)), rng, math.sqrt(2.0 * diffusion * dt))
+
+        got = np.zeros(nt + 1)
+        args = []
+        for r in range(0, n_modes, _CHUNK):
+            part = DiscretizedBath(bath.omega[r:r + _CHUNK], bath.coupling[r:r + _CHUNK],
+                                   bath.theta0[r:r + _CHUNK])
+            table = phase_table(part, times)
+            got += endpoint_phase(part, paths[r:r + _CHUNK], table)
+            args.append(table.base + paths[r:r + _CHUNK])
+        arg = np.concatenate(args)
+        # the float64 reading the float32 one replaced
+        ph = bath.omega[:, None] * times[None, :] + bath.theta0[:, None] + paths
+        want = np.einsum("k,kj->j", bath.coupling, np.sin(ph) - np.sin(bath.theta0)[:, None])
+
+        assert float(np.max(np.abs(arg))) > (30.0 if diffusion > 1 else 3.0)
+        assert np.max(np.abs(got - want)) <= float32_bound(bath.coupling, arg)
+
+    def test_each_mode_within_its_bound(self):
+        # per mode, 2^-24 (|arg| + 4): one rounding of the float64 sum,
+        # half an ulp of the float32 base (|base| <= pi) and 2 ulps of sine
+        config = BathConfig(gamma=0.5, cutoff=1.0, diffusion=10.0, phase_lambda=1.0)
+        bath = discretize_bath(config, 64, 20.0)
+        times = np.arange(2001) * 0.005
+        paths = built_paths(10.0, 0.005, 10.0, seed=4, n_modes=64)
+        for k in range(64):
+            one = DiscretizedBath(bath.omega[k:k + 1], np.ones(1), bath.theta0[k:k + 1])
+            table = phase_table(one, times)
+            got = endpoint_phase(one, paths[k:k + 1], table)
+            want = (np.sin(bath.omega[k] * times + bath.theta0[k] + paths[k])
+                    - math.sin(bath.theta0[k]))
+            arg = np.abs(table.base[0] + paths[k])
+            assert np.all(np.abs(got - want) <= 2.0**-24 * (arg + 4.0))
 
 
 class TestEnsembleConfig:
@@ -276,10 +335,10 @@ class TestEnsembleRuns:
 
     def test_worker_exception_reaches_caller(self, monkeypatch):
         # the calling thread runs trajectories too; fail only off it
-        def failing(bath, paths, times):
+        def failing(bath, paths, table):
             if threading.current_thread() is not threading.main_thread():
                 raise RuntimeError("trajectory failed")
-            return endpoint_phase(bath, paths, times)
+            return endpoint_phase(bath, paths, table)
 
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
         monkeypatch.setattr(montecarlo, "endpoint_phase", failing)
@@ -335,19 +394,25 @@ class TestFiniteModeOracle:
             assert float(bias.max()) < 1e-3
 
 
-def chunk_sum(coupling, values):
-    """sum_k c_k values[k], one non-BLAS reduction per _CHUNK modes added in
-    mode order."""
-    phi = np.zeros(values.shape[1])
-    for r in range(0, len(coupling), _CHUNK):
-        phi += np.einsum("k,kj->j", coupling[r:r + _CHUNK], values[r:r + _CHUNK])
+def chunk_sum(bath, times, paths):
+    """sum_k c_k [sin(w_k t + th_k + x_k) - sin th_k], one non-BLAS reduction
+    per _CHUNK modes added in mode order.  The sine is float32, of the
+    float64 sum of x_k and w_k t + th_k reduced to [-pi, pi] and stored as
+    float32; the mode sum and sum_k c_k sin th_k are float64."""
+    phi = np.zeros(paths.shape[1])
+    for r in range(0, len(bath.coupling), _CHUNK):
+        c, w, th = (a[r:r + _CHUNK] for a in (bath.coupling, bath.omega, bath.theta0))
+        ph = w[:, None] * times[None, :] + th[:, None]
+        base = (ph - 2.0 * math.pi * np.rint(ph / (2.0 * math.pi))).astype(np.float32)
+        arg = (base.astype(float) + paths[r:r + _CHUNK]).astype(np.float32)
+        phi += np.einsum("k,kj->j", c, np.sin(arg)) - np.einsum("k,k->", c, np.sin(th))
     return phi
 
 
 def serial_reference(config, ens):
     """(|mean|, stderr) from the one-trajectory-at-a-time loop that
     preceded the thread pool, frozen here as the bit-for-bit reference.
-    Only its mode sum follows the chunked trajectory (see chunk_sum)."""
+    Only its reading follows the chunked trajectory (see chunk_sum)."""
     bath = discretize_bath(config, ens.n_modes, ens.omega_max)
     nt = int(round(ens.horizon / ens.dt))
     times = np.arange(nt + 1) * ens.dt
@@ -360,8 +425,7 @@ def serial_reference(config, ens):
         paths = np.empty((ens.n_modes, nt + 1))
         paths[:, 0] = 0.0
         np.cumsum(steps, axis=1, out=paths[:, 1:])
-        ph = bath.omega[:, None] * times[None, :] + bath.theta0[:, None] + paths
-        phi = chunk_sum(bath.coupling, np.sin(ph) - np.sin(bath.theta0)[:, None])
+        phi = chunk_sum(bath, times, paths)
         acc[m] = np.exp(-1j * phi)
     mean = acc.mean(axis=0)
     mod = np.abs(mean)

@@ -149,6 +149,17 @@ def test_nonfinite_integrand_rejected():
         integrate_finite(inverse, -1.0, 1.0, tol=1e-8)
 
 
+def test_nonfinite_integrand_names_its_place():
+    def inverse(t):
+        with np.errstate(divide="ignore", over="ignore"):
+            return 1.0 / t
+
+    with pytest.raises(ValueError, match="non-finite value at x = ") as exc_info:
+        integrate_finite(inverse, -1.0, 1.0, tol=1e-8)
+    place = float(str(exc_info.value).rsplit("x = ", 1)[1])
+    assert abs(place) <= 1e-300
+
+
 def test_bad_arguments():
     with pytest.raises(ValueError):
         integrate_finite(np.exp, 1.0, 1.0)
