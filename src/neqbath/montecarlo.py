@@ -12,13 +12,14 @@ Each trajectory's phase is read at its endpoint,
 
 which is Gaussian over the ensemble with second cumulant exactly beta(t)
 for the couplings above.  The deterministic part w_k t + th_k is reduced
-to [-pi, pi] in float64 once per run and stored as a float32 table
-(n_modes x n_times, shared by every worker); each trajectory adds its
-paths in float64, rounds once to float32 and takes the sine in float32.
-Per mode that is within 2^-24 (|arg| + 4) of the float64 sine, arg being
-the float32 argument, so |dphi| <= sum_k |c_k| 2^-23 (max |arg| + 1)
-once max |arg| >= 2: about 3e-7 at the criterion-8 size, against a
-sampling error near 5e-3.
+to [-pi, pi] in float64 once per run, as atan2(sin x, cos x), which is
+exact for every finite x, and stored as a float32 table (n_modes x
+n_times, shared by every worker); each trajectory adds its paths in
+float64, rounds once to float32 and takes the sine in float32.  Per mode
+that is within 2^-24 (|arg| + 4) of the float64 sine, arg being the
+float32 argument, so |dphi| <= sum_k |c_k| 2^-23 (max |arg| + 1) once
+max |arg| >= 2: about 3e-7 at the criterion-8 size, against a sampling
+error near 5e-3.
 
 Seeding is counter-based (Philox): trajectory m draws from counter
 block m << 64, so results are independent of evaluation order and
@@ -171,10 +172,7 @@ def phase_table(bath: DiscretizedBath, times: np.ndarray) -> PhaseTable:
     """The table every trajectory reads for these modes on this time grid."""
     x = bath.omega[:, None] * np.asarray(times, dtype=float)[None, :]
     x += bath.theta0[:, None]
-    turns = x / (2.0 * math.pi)  # one temporary, reduced in place
-    np.rint(turns, out=turns)
-    turns *= 2.0 * math.pi
-    x -= turns
+    x = np.arctan2(np.sin(x), np.cos(x))  # sin and cos reduce x exactly
     offset = float(np.einsum("k,k->", bath.coupling, np.sin(bath.theta0)))
     return PhaseTable(x.astype(np.float32), offset)
 

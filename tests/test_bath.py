@@ -129,6 +129,44 @@ class TestPhaseProfile:
         assert quad.kind == "quadratic" and quad.lam == 0.7
 
 
+_REF_DPS = 90
+# inside [-pi, pi], ends included, and outside it away from 2 pi k, where
+# the double 2 pi in the reduction would show at narrow D t
+_REF_X = np.concatenate([np.linspace(-math.pi, math.pi, 33),
+                         [1e-5, 3.5, -4.0, 7.0, -20.0, 100.0]])
+
+
+def _theta_reference(x, dt_prod):
+    """P(x, t) as theta_3(x/2, e^{-D t}) / (2 pi), at the working precision."""
+    import mpmath as mp
+
+    x, dt_prod = mp.mpf(float(x)), mp.mpf(float(dt_prod))
+    return mp.jtheta(3, x / 2, mp.exp(-dt_prod)) / (2 * mp.pi)
+
+
+def _image_reference(x, dt_prod):
+    """P(x, t) as the wrapped Gaussian with 20 images each side."""
+    import mpmath as mp
+
+    x, dt_prod = mp.mpf(float(x)), mp.mpf(float(dt_prod))
+    return (mp.fsum(mp.exp(-(x + 2 * mp.pi * k) ** 2 / (4 * dt_prod))
+                    for k in range(-20, 21)) / mp.sqrt(4 * mp.pi * dt_prod))
+
+
+def assert_matches_reference(diffusion, t, x=_REF_X):
+    """P(x, t) within 1e-13 of its peak of an independent 90-digit value:
+    the theta function for D t >= 1e-3 and the image sum below."""
+    import mpmath as mp
+
+    dt_prod = diffusion * t
+    ref = _theta_reference if dt_prod >= 1e-3 else _image_reference
+    with mp.workdps(_REF_DPS):
+        want = np.array([float(ref(xi, dt_prod)) for xi in x])
+        peak = float(ref(0.0, dt_prod))
+    got = phase_distribution_eval(diffusion, x, t)
+    assert np.max(np.abs(got - want)) <= 1e-13 * peak
+
+
 class TestPhaseDistribution:
     def test_normalization_on_circle(self):
         diffusion = 1.0
@@ -144,12 +182,12 @@ class TestPhaseDistribution:
                               phase_distribution_eval(diffusion, -x, 0.7))
 
     def test_positive(self):
-        # at narrow spreads the tails underflow and the truncated series
-        # can round to ~-1e-14 there; positivity holds to rounding
+        # a sum of exponentials, or (D t >= 1) a series led by 1
         diffusion = 1.0
         x = np.linspace(-math.pi, math.pi, 801)
-        assert np.all(phase_distribution_eval(diffusion, x, 0.05) > -1e-12)
+        assert np.all(phase_distribution_eval(diffusion, x, 0.05) >= 0.0)
         assert np.all(phase_distribution_eval(diffusion, x, 0.3) > 0.0)
+        assert np.all(phase_distribution_eval(diffusion, x, 1.0) > 0.0)
 
     def test_late_time_uniform(self):
         diffusion = 1.0
@@ -176,25 +214,40 @@ class TestPhaseDistribution:
         assert issubclass(DeltaLimitError, ValueError)
 
     def test_converged_small_dt_is_silent(self):
-        # D t = 5e-7 needs about 7,400 terms, inside the term budget
         diffusion = 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            p = phase_distribution_eval(diffusion, 0.0, 5e-7)
-        assert math.isfinite(p) and p > 0.0
+            assert_matches_reference(diffusion, 5e-7)
 
-    def test_truncation_warns(self):
-        # D t = 1e-9 needs about 166,000 terms, past the term budget
+    def test_narrow_peak_matches_reference(self):
+        # D t = 1e-9: a truncated Fourier series missed this peak by 65 %
         diffusion = 1.0
-        with pytest.warns(UserWarning, match="truncated"):
-            phase_distribution_eval(diffusion, 0.0, 1e-9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_matches_reference(diffusion, 1e-9)
 
-    def test_subnormal_time_truncates_instead_of_overflowing(self):
-        # the term count 1/sqrt(D t) is infinite in floating point here
+    def test_subnormal_time_matches_reference(self):
+        # D t = 2.2e-310 is subnormal; x^2 / (4 D t) overflows where P is 0
         diffusion = 0.1
-        with pytest.warns(UserWarning, match="truncated"):
-            p = phase_distribution_eval(diffusion, 0.0, 2.2e-309)
-        assert math.isfinite(p) and p > 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_matches_reference(diffusion, 2.2e-309)
+
+    @pytest.mark.parametrize("dt_prod", [
+        5e-324, 1e-300, 1e-200, 1e-100, 1e-30, 1e-12, 1e-7, 1e-5, 1e-4, 1e-3,
+        1e-2, 0.1, 0.5, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, 2.0, 10.0, 1e2, 1e3])
+    def test_matches_reference(self, dt_prod):
+        assert_matches_reference(1.0, dt_prod)
+
+    def test_references_agree(self):
+        # the two references meet at D t = 1e-3, where each one takes over
+        import mpmath as mp
+
+        with mp.workdps(_REF_DPS):
+            peak = _theta_reference(0.0, 1e-3)
+            for x in _REF_X:
+                theta, images = _theta_reference(x, 1e-3), _image_reference(x, 1e-3)
+                assert abs(theta - images) <= mp.mpf(10) ** -80 * peak
 
     def test_bad_diffusion_rejected(self):
         for bad in (-1.0, math.nan, math.inf):

@@ -401,6 +401,16 @@ class TestPdistCommand:
     def test_negative_time_rejected(self):
         assert run_cli(["pdist", "--times", "-1"]) == 2
 
+    def test_narrow_peak_is_exact_and_silent(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        assert run_cli(["pdist", "--diffusion", "1", "--times", "1e-9", "--nx", "5",
+                        "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _, data, _ = read_csv(out)
+        assert float(data[2][1]) == 0.0
+        assert float(data[2][2]) == pytest.approx(1.0 / math.sqrt(4.0 * math.pi * 1e-9),
+                                                  rel=1e-13)
+
     def test_infinite_time_is_the_uniform_limit(self, tmp_path):
         out = tmp_path / "p.csv"
         assert run_cli(["pdist", "--times", "inf", "--nx", "5", "--out", str(out)]) == 0

@@ -168,14 +168,19 @@ class TestAccumulation:
 class TestFloat32Reading:
     """The float32 sine against the float64 formula it replaced, over one
     full trajectory of the criterion-8 ensemble (512 modes, dt 0.005,
-    horizon 10), at its D = 0.1 and at D = 10, where |x| reaches tens."""
+    horizon 10), at its D = 0.1 and at D = 10, where |x| reaches tens,
+    and at cutoff 1e11, where w t + th reaches 2e13."""
 
-    @pytest.mark.parametrize("diffusion", [0.1, 10.0])
-    def test_full_trajectory_within_bound(self, diffusion):
-        config = BathConfig(gamma=0.5, cutoff=1.0, diffusion=diffusion,
+    @pytest.mark.parametrize("diffusion, cutoff", [
+        pytest.param(0.1, 1.0, id="0.1"),
+        pytest.param(10.0, 1.0, id="10.0"),
+        pytest.param(0.1, 1e11, id="cutoff-1e11"),
+    ])
+    def test_full_trajectory_within_bound(self, diffusion, cutoff):
+        config = BathConfig(gamma=0.5, cutoff=cutoff, diffusion=diffusion,
                             phase_lambda=1.0)
         n_modes, dt, nt = 512, 0.005, 2000
-        bath = discretize_bath(config, n_modes, 20.0)
+        bath = discretize_bath(config, n_modes, 20.0 * cutoff)
         times = np.arange(nt + 1) * dt
         key = np.random.SeedSequence(20240817).generate_state(2, np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key, counter=0))
@@ -191,9 +196,11 @@ class TestFloat32Reading:
             got += endpoint_phase(part, paths[r:r + _CHUNK], table)
             args.append(table.base + paths[r:r + _CHUNK])
         arg = np.concatenate(args)
-        # the float64 reading the float32 one replaced
-        ph = bath.omega[:, None] * times[None, :] + bath.theta0[:, None] + paths
-        want = np.einsum("k,kj->j", bath.coupling, np.sin(ph) - np.sin(bath.theta0)[:, None])
+        # the float64 reading the float32 one replaced; sin(a + x) is
+        # expanded so that x is not rounded at the scale of a = w t + th
+        a = bath.omega[:, None] * times[None, :] + bath.theta0[:, None]
+        ph = np.sin(a) * np.cos(paths) + np.cos(a) * np.sin(paths)
+        want = np.einsum("k,kj->j", bath.coupling, ph - np.sin(bath.theta0)[:, None])
 
         assert float(np.max(np.abs(arg))) > (30.0 if diffusion > 1 else 3.0)
         assert np.max(np.abs(got - want)) <= float32_bound(bath.coupling, arg)
