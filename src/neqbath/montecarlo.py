@@ -203,6 +203,10 @@ def mc_decoherence_factor(config: BathConfig, ensemble: EnsembleConfig) -> Decoh
     the errors a delta-method standard error of that modulus (the spread
     of the component along the mean direction), NaN for one trajectory.
     """
+    # paths are rounded to float32; the odds of one past 64 spreads are below e^-2000
+    if 64.0 * math.sqrt(2.0 * config.diffusion * ensemble.horizon) > float(np.finfo(np.float32).max):
+        raise ValueError(f"diffusion * horizon = {config.diffusion * ensemble.horizon:.3g} "
+                         "spreads the phase paths past float32's range")
     omega_max = ensemble.omega_max or 20.0 * config.cutoff
     bath = discretize_bath(config, ensemble.n_modes, omega_max)
 

@@ -163,21 +163,22 @@ def integrate_finite(
 def _initial_edges(upper: float, period_hint: Optional[float], chirp: float) -> np.ndarray:
     """Panel edges on [0, upper] for local angular frequency k0 + chirp w.
 
-    Panels are w0 = min(upper / 64, period_hint / 2) wide while half a
-    local period, pi / k(a) at the left edge a, exceeds w0; then pi apart
+    Panels are w0 = min(upper / 64, period_hint) wide while one local
+    period, 2 pi / k(a) at the left edge a, exceeds w0; then 2 pi apart
     in the phase k0 w + chirp w^2 / 2 while that cap exceeds the floor
-    upper / 8192; then floor-wide, which bounds their number.
+    upper / 8192; then floor-wide, which bounds their number.  _adapt
+    splits them where G7 and K15 disagree.
     """
     floor = upper / _MAX_INITIAL_PANELS
     k0 = 2.0 * math.pi / period_hint if period_hint is not None and period_hint > 0 else 0.0
-    w0 = max(min(upper / 64.0, math.pi / k0 if k0 else upper), floor)
+    w0 = max(min(upper / 64.0, 2.0 * math.pi / k0 if k0 else upper), floor)
     a1 = a2 = upper
     if chirp > 0:
-        a1 = min(max((math.pi / w0 - k0) / chirp, 0.0), upper)
-        a2 = min(max((math.pi / floor - k0) / chirp, a1), upper)
+        a1 = min(max((2.0 * math.pi / w0 - k0) / chirp, 0.0), upper)
+        a2 = min(max((2.0 * math.pi / floor - k0) / chirp, a1), upper)
     p1 = a1 * (k0 + 0.5 * chirp * a1)
     p2 = a2 * (k0 + 0.5 * chirp * a2)
-    phase = p1 + math.pi * np.arange(math.ceil((p2 - p1) / math.pi))
+    phase = p1 + 2.0 * math.pi * np.arange(math.ceil((p2 - p1) / (2.0 * math.pi)))
     return np.unique(np.concatenate([
         w0 * np.arange(math.ceil(a1 / w0)),
         # root of chirp w^2 / 2 + k0 w = phase without cancellation
@@ -199,7 +200,7 @@ def integrate_semi_infinite(
     upper: truncation point; the error covers [0, upper] only, so a
         caller truncating an infinite range adds its own tail bound.
     period_hint, chirp: f oscillates with period period_hint at 0 and its angular
-        frequency grows at rate chirp; initial panels resolve that (_initial_edges).
+        frequency grows at rate chirp; initial panels span one local period (_initial_edges).
     Refinement stops at _MAX_PANELS panels.
     """
     if upper <= 0:

@@ -4,7 +4,8 @@ A traced `bench/run.py` run fails its self-check when a span listed in
 `EXPECTED_SPANS` never fires, for instance when a refactor routes work
 around a traced function.  These tests run the same kind of calls under
 the benchmark's own tracer (`bench/spans.py`) and read the expected set
-from `bench/run.py`, so such a change fails here first.
+from `bench/run.py`, so such a change fails here first.  The figures
+workload's own output check (`bench/workloads.py`) runs here as well.
 """
 
 import importlib
@@ -31,3 +32,15 @@ def test_expected_spans_fire(workload, tmp_path, monkeypatch):
         for argv in CALLS[workload]:
             assert cli.main([a.format(tmp=tmp_path) for a in argv]) == 0
     assert sorted(run.EXPECTED_SPANS[workload] - tracer.fired()) == []
+
+
+def test_figure_outputs_pass_the_benchmark_check(tmp_path, monkeypatch):
+    # the figures workload's own check: closed-form curves for figures 1
+    # and 2, the gzipped references (figure 3 within 1e-8, text cells such
+    # as `method` exactly) for the rest, and the metadata file lists
+    monkeypatch.syspath_prepend(str(BENCH))
+    figures = importlib.import_module("workloads").WORKLOADS["figures"]
+    for op in figures.ops(tmp_path, 0):
+        assert cli.main(list(op.argv)) == 0
+        for name in op.outputs:
+            assert figures.check(name, (tmp_path / name).read_bytes()) == [], name

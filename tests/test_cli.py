@@ -379,6 +379,19 @@ class TestMcCommand:
         assert "couplings overflow" in capsys.readouterr().err
         assert not (tmp_path / "mc.csv").exists()
 
+    def test_paths_past_float32_exit_2_without_warnings(self, tmp_path, capsys):
+        # D horizon = 1e299: paths of spread 1.4e149 would overflow the
+        # float32 reading; the input is refused before any trajectory runs
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["mc", "--n-modes", "3", "--n-trajectories", "2",
+                            "--horizon", "1e300", "--dt", "1e299",
+                            "--out", str(tmp_path / "mc.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "diffusion * horizon = 1e+299" in err and "float32" in err
+        assert not (tmp_path / "mc.csv").exists()
+
 
 class TestPdistCommand:
     def test_snapshots_normalize(self, tmp_path):

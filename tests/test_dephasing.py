@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from neqbath.bath import BathConfig
+from neqbath.cli import grid_array
 from neqbath.dephasing import (
     METHOD_CLOSED,
     METHOD_QUADRATURE,
@@ -255,7 +256,7 @@ class TestTruncatedQuadrature:
     def greedy_edges(upper, hint, cap):
         # the panel-by-panel construction the closed-form grid replaces
         floor = upper / 8192.0
-        w0 = max(min(upper / 64.0, hint / 2.0 if hint else upper), floor)
+        w0 = max(min(upper / 64.0, hint if hint else upper), floor)
         edges = [0.0]
         while edges[-1] < upper:
             w = max(min(w0, cap(edges[-1])), floor)
@@ -271,22 +272,22 @@ class TestTruncatedQuadrature:
         edges = _initial_edges(upper, hint, chirp)
         widths = np.diff(edges)
         floor = upper / 8192.0
-        w0 = max(min(upper / 64.0, hint / 2.0), floor)
-        cap = math.pi / (2.0 * (t + 2.0 * lam * edges[:-1]))
+        w0 = max(min(upper / 64.0, hint), floor)
+        cap = math.pi / (t + 2.0 * lam * edges[:-1])
         assert edges[0] == 0.0 and edges[-1] == upper
         assert np.all(widths > 0.0)
         assert np.all(widths <= w0 * (1.0 + 1e-12))
         # past the point where the cap falls below the floor, the floor rules
         assert np.all(widths <= np.maximum(cap, floor) * (1.0 + 1e-12))
         greedy = self.greedy_edges(
-            upper, hint, lambda a: math.pi / (2.0 * (t + 2.0 * lam * a)))
+            upper, hint, lambda a: math.pi / (t + 2.0 * lam * a))
         assert len(edges) <= 1.05 * len(greedy) + 3
 
-    def test_linear_grid_is_uniform_below_half_period(self):
+    def test_linear_grid_is_uniform_below_one_period(self):
         hint, chirp = _oscillation_controls(3.0, cfg(FIG2))
         assert chirp == 0.0
         widths = np.diff(_initial_edges(40.0, hint, chirp))
-        assert np.all(widths <= hint / 2.0 * (1.0 + 1e-12))
+        assert np.all(widths <= hint * (1.0 + 1e-12))
         assert np.allclose(widths[:-1], widths[0])
 
     def test_zero_coupling_vanishes(self):
@@ -348,6 +349,75 @@ class TestTruncatedQuadrature:
         tiny = dataclasses.replace(late, gamma=1e-307)
         want = math.exp(-math.exp(math.log(1e-307) + math.lgamma(171)))
         assert math.exp(-beta_closed(1e4, tiny)) == pytest.approx(want, rel=1e-12)
+
+
+def faddeeva_beta(t, c):
+    """beta(t) for the quadratic profile through w(z) = scipy's wofz.
+
+    With x = w / cutoff, a = 2i lam cutoff^2 and b = 1 - 2i cutoff t,
+    I_k = int_0^inf x^k exp(-a x^2 - b x) dx has
+        I_0 = sqrt(pi) / (2 sqrt(a)) w(i b / (2 sqrt(a))),
+        2a I_1 = 1 - b I_0,  2a I_{k+1} = k I_{k-1} - b I_k,
+    and beta = gamma n! [(1 - e^-2Dt) + (e^-2Dt - e^-4Dt) Re I_n / n!].
+    The forward recurrence holds to about 3e-13 of gamma n! for
+    lam cutoff^2 >= 0.3 and n <= 10.
+    """
+    from scipy.special import wofz
+    a = 2j * c.phase_lambda * c.cutoff ** 2
+    b = 1.0 - 2j * c.cutoff * t
+    root = np.sqrt(a)
+    i = [math.sqrt(math.pi) / (2.0 * root) * wofz(1j * b / (2.0 * root))]
+    i.append((1.0 - b * i[0]) / (2.0 * a))
+    for k in range(1, c.ohmicity):
+        i.append((k * i[k - 1] - b * i[k]) / (2.0 * a))
+    e2 = math.exp(-2.0 * c.diffusion * t)
+    nf = math.factorial(c.ohmicity)
+    return c.gamma * nf * ((1.0 - e2) + (e2 - e2 * e2) * i[c.ohmicity].real / nf)
+
+
+class TestQuadraticReference:
+    """beta_quadrature on the quadratic profile against the Faddeeva form.
+
+    The reference is rounded in double precision, so each comparison
+    allows eps (1 + beta) beside the reported error, as the closed-form
+    comparison above does; the truncated tail dominates that error.
+    """
+
+    @pytest.fixture(scope="class")
+    def figure3(self):
+        # figure 3's grid and parameters, both ohmicities
+        ts = grid_array((0.0, 10.0, 0.02))
+        return {n: [(float(t), beta_quadrature(float(t), cfg(FIG3, ohmicity=n)))
+                    for t in ts] for n in (1, 3)}
+
+    @staticmethod
+    def assert_within_error(runs, c):
+        for t, res in runs:
+            want = faddeeva_beta(t, c)
+            slack = np.finfo(float).eps * (1.0 + want)
+            assert abs(res.value - want) <= res.error + slack, (c, t)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_figure3_within_reported_error(self, figure3, n):
+        assert len(figure3[n]) == 501
+        self.assert_within_error(figure3[n], cfg(FIG3, ohmicity=n))
+
+    @pytest.mark.parametrize("params", [
+        dict(gamma=0.5, cutoff=1.0, diffusion=0.5, phase_lambda=0.3, ohmicity=2),
+        dict(gamma=1.0, cutoff=2.0, diffusion=0.05, phase_lambda=1.0, ohmicity=5),
+        # gamma n! near 4: the tolerance is absolute
+        dict(gamma=1e-6, cutoff=0.5, diffusion=1.0, phase_lambda=3.0, ohmicity=10),
+        dict(gamma=1e-6, cutoff=1.0, diffusion=0.1, phase_lambda=0.5, ohmicity=10),
+    ])
+    def test_other_parameters_within_reported_error(self, params):
+        c = cfg(FIG3, **params)
+        ts = (0.05, 0.5, 1.3, 3.0, 7.5)
+        self.assert_within_error([(t, beta_quadrature(t, c)) for t in ts], c)
+
+    def test_figure3_panel_budget(self, figure3):
+        # one local period per initial panel, split only where G7 and K15 disagree
+        panels = sum(res.subdivisions for runs in figure3.values() for _, res in runs)
+        assert panels <= 450_000
 
 
 class TestDispatch:
