@@ -2,11 +2,11 @@
 
 Times are in units of 1 / Omega, Omega being the drive frequency, so a
 quasi-cycle lasts 2 pi.  Over it the qubit density matrix keeps its
-populations while the coherence shrinks by F(t).  The larger
-eigenvalue eps_+ of the density matrix defines an instantaneous Bloch
-direction through its eigenvector, parametrized here by the spinor
-half-angle theta_+ (so F = 1 gives theta_+ = theta0 / 2).  The phase
-accumulated by that eigenvector,
+populations while the coherence shrinks by F(t): its Bloch vector is
+(sin(theta0) F, 0, cos(theta0)).  The eigenvector of the larger
+eigenvalue eps_+ points along it, at the spinor half-angle
+theta_+ = atan2(sin(theta0) F, cos(theta0)) / 2 (theta0 / 2 at F = 1).
+The phase accumulated by that eigenvector,
 
     phi_G = int_0^{2 pi} cos(theta_+(t))^2 dt,
 
@@ -87,52 +87,40 @@ class LambdaSweepResult:
     max_increase: np.ndarray
 
 
-def _theta0_of(state: float) -> float:
+def _theta0_of(state):
     """The polar angle theta0 of the initial pure state
-    cos(theta0/2)|0> + sin(theta0/2)|1>, checked to lie in [0, pi]."""
-    theta0 = float(state)
-    if not 0.0 <= theta0 <= math.pi:
-        raise ValueError(f"theta0 must lie in [0, pi], got {theta0}")
+    cos(theta0/2)|0> + sin(theta0/2)|1>, or an array of them, checked to
+    lie in [0, pi]."""
+    theta0 = np.asarray(state, dtype=float)
+    bad = ~((0.0 <= theta0) & (theta0 <= math.pi))
+    if bad.any():
+        raise ValueError(f"theta0 must lie in [0, pi], got {theta0[bad][0]}")
     return theta0
 
 
-def bloch_angle(factor, state: float):
+def bloch_angle(factor, state):
     """(cos theta_+, sin theta_+) of the + eigenvector's half-angle.
 
-    Written to avoid the cancellation in eps_+ - cos(theta0/2)^2 when
-    cos(theta0) >= 0, and with the F -> 0 and polar limits pinned to
-    their analytic values instead of 0/0.
+    The density matrix has Bloch vector (sin(theta0) F, 0, cos(theta0)),
+    so theta_+ = atan2(sin(theta0) F, cos(theta0)) / 2, with no 0/0 at
+    F = 0 or at the poles.  state is a theta0 or an array of them that
+    broadcasts against factor.
     """
     theta0 = _theta0_of(state)
     f = np.asarray(factor, dtype=float)
     if np.any(f < 0) or np.any(f > 1):
         raise ValueError("decoherence factor must lie in [0, 1]")
-    c = math.cos(theta0)
-    s = math.sin(theta0)
-    n = s * f
-    r = np.hypot(c, n)
-    if c > 0:
-        # d = (r - c)/2 rationalized: s^2 F^2 / (2 (r + c))
-        d = 0.5 * n * n / (r + c)
-    else:
-        d = 0.5 * (r - c)
-    # hypot keeps the ratio exact even when n^2 underflows (tiny theta0)
-    den = np.hypot(n, 2.0 * d)
-    safe = den > 0
-    # den = 0 only when n = 0 (F = 0 or theta0 = 0) at c > 0, where the
-    # eigenvector is +z: d >= -c > 0 for c < 0, and no double in [0, pi]
-    # has a cosine of exactly 0 (float cos of pi/2 is 6e-17)
-    cosp = np.where(safe, n / np.where(safe, den, 1.0), 1.0)
-    sinp = np.where(safe, 2.0 * d / np.where(safe, den, 1.0), 0.0)
-    return cosp, sinp
+    # + 0.0 turns F = -0.0 into +0.0, which atan2 would send to -pi below the equator
+    half = 0.5 * np.arctan2(np.sin(theta0) * f + 0.0, np.cos(theta0))
+    return np.cos(half), np.sin(half)
 
 
-def unitary_phase(state: float) -> float:
-    """GP of the bare quasi-cycle: pi (1 + cos theta0)."""
-    return math.pi * (1.0 + math.cos(_theta0_of(state)))
+def unitary_phase(state):
+    """GP of the bare quasi-cycle, pi (1 + cos theta0), elementwise."""
+    return math.pi * (1.0 + np.cos(_theta0_of(state)))
 
 
-_COMPONENTS = 4096  # (theta0, gamma) pairs per cycle integral: bounds its node values
+_COMPONENTS = 2048  # live (theta0, gamma) pairs per cycle integral: bounds its node values
 
 
 def _cycle_corrections(config: BathConfig, theta0s, gammas, tol: float):
@@ -140,32 +128,27 @@ def _cycle_corrections(config: BathConfig, theta0s, gammas, tol: float):
     and their errors, to absolute tol, as (len(theta0s), len(gammas)) arrays.
 
     beta is independent of theta0 and linear in gamma: each node batch takes
-    beta once, at gamma = 1 and tol 1e-12 / max gamma.  An integral takes as
-    many whole rows of (theta0, live gamma) components as fit _COMPONENTS,
-    at least one.  Couplings 0, and all of them at D = 0, give 0.
+    beta once, at gamma = 1 and tol 1e-12 / (the integral's largest gamma).
+    The live (theta0, gamma) pairs, in row order, are cut into integrals of
+    at most _COMPONENTS pairs.  Couplings 0, and all of them at D = 0, give 0.
     """
-    th = [_theta0_of(t) for t in np.asarray(theta0s, dtype=float)]
+    th = _theta0_of(theta0s)
     g = np.asarray(gammas, dtype=float)
     if not np.all(np.isfinite(g) & (g >= 0)):
         raise ValueError(f"gamma must be finite and >= 0, got {g}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     delta, err = np.zeros((len(th), len(g))), np.zeros((len(th), len(g)))
-    live = (g > 0) & (config.diffusion > 0)
-    if not live.any():
-        return delta, err
+    rows, cols = np.nonzero(np.broadcast_to((g > 0) & (config.diffusion > 0), delta.shape))
     unit = dataclasses.replace(config, gamma=1.0)
-    col = g[live][:, None]
-    rows = max(1, _COMPONENTS // len(col))
-    for start in range(0, len(th), rows):
-        group = th[start:start + rows]
+    for start in range(0, len(rows), _COMPONENTS):
+        i, j = rows[start:start + _COMPONENTS], cols[start:start + _COMPONENTS]
+        theta0, gamma = th[i, None], g[j, None]
 
         def integrand(ts):
             with np.errstate(over="ignore"):  # gamma beta past the largest double: F = 0
-                factor = np.exp(-col * beta_values(ts, unit, 1e-12 / col.max())[0])
-            # one (live gamma, node) block per row, all over the same F
-            return np.concatenate(
-                [bloch_angle(factor, t)[0] ** 2 - math.cos(0.5 * t) ** 2 for t in group])
+                factor = np.exp(-gamma * beta_values(ts, unit, 1e-12 / gamma.max())[0])
+            return bloch_angle(factor, theta0)[0] ** 2 - np.cos(0.5 * theta0) ** 2
 
         res = integrate_finite(integrand, 0.0, 2.0 * math.pi, tol=tol)
         if not res.converged:
@@ -173,8 +156,7 @@ def _cycle_corrections(config: BathConfig, theta0s, gammas, tol: float):
                 f"geometric-phase integral stalled at error {res.error.max():.3e}",
                 result=res,
             )
-        delta[start:start + rows, live] = res.value.reshape(len(group), -1)
-        err[start:start + rows, live] = res.error.reshape(len(group), -1)
+        delta[i, j], err[i, j] = res.value, res.error
     return delta, err
 
 
@@ -189,7 +171,7 @@ def geometric_phase(config: BathConfig, state,
     """
     th = np.asarray(state, dtype=float)
     delta, err = _cycle_corrections(config, th.ravel(), [config.gamma], tol)
-    phi_u = np.array([unitary_phase(t) for t in th.ravel()])
+    phi_u = unitary_phase(th.ravel())
     fields = [f.reshape(th.shape) for f in (phi_u + delta[:, 0], phi_u, delta[:, 0], err[:, 0])]
     return GPResult(*(map(float, fields) if th.ndim == 0 else fields))
 
@@ -276,7 +258,7 @@ def gp_surface(config: BathConfig, theta0_grid: Sequence[float],
     them.
     """
     delta_abs = np.abs(_cycle_corrections(config, theta0_grid, gamma_grid, tol)[0])
-    phi_u = np.array([unitary_phase(t) for t in np.asarray(theta0_grid, dtype=float)])
+    phi_u = unitary_phase(theta0_grid)
     # dividing by NaN leaves the phi_u = 0 rows NaN without a warning
     ratio = delta_abs / np.where(phi_u > 0, phi_u, np.nan)[:, None]
     return SurfaceResult(ratio=ratio, delta_abs=delta_abs)
@@ -321,10 +303,9 @@ def gamma_comparison(config: BathConfig, state: float,
     curve the exact one should hug at small gamma and peel away from
     as gamma grows.
     """
-    theta0 = _theta0_of(state)
     ga = np.asarray(gamma_grid, dtype=float)
-    phi_u = unitary_phase(theta0)
-    pred = np.array([phi_u + perturbative_correction(
-        dataclasses.replace(config, gamma=float(g)), theta0) for g in ga])
-    exact = phi_u + _cycle_corrections(config, [theta0], ga, tol)[0][0]
+    phi_u = unitary_phase(state)
+    exact = phi_u + _cycle_corrections(config, [state], ga, tol)[0][0]
+    # the first-order formula is linear in gamma
+    pred = phi_u + ga * perturbative_correction(dataclasses.replace(config, gamma=1.0), state)
     return exact, pred

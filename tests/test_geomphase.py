@@ -8,6 +8,7 @@ so the package's own quadrature is never used to grade itself.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,8 +73,10 @@ class TestBlochAngle:
         # branch) below; float cos(pi/2) = 6e-17 > 0, so the nominal
         # equator also resolves to +z
         assert bloch_angle(0.0, math.pi / 3.0) == (1.0, 0.0)
-        c, s = bloch_angle(0.0, 2.0 * math.pi / 3.0)
-        assert (c, s) == pytest.approx((0.0, 1.0), abs=1e-15)
+        for zero in (0.0, -0.0):
+            # sin(theta0) * -0.0 is -0.0, which a bare atan2 takes to -pi
+            c, s = bloch_angle(zero, 2.0 * math.pi / 3.0)
+            assert s == 1.0 and c == pytest.approx(0.0, abs=1e-15)
         assert bloch_angle(0.0, math.pi / 2.0) == (1.0, 0.0)
 
     def test_domain_errors(self):
@@ -86,6 +89,37 @@ class TestBlochAngle:
         assert c == pytest.approx(1.0, abs=1e-9)
         c, s = bloch_angle(1e-12, 2.0 * math.pi / 3.0)
         assert s == pytest.approx(1.0, abs=1e-9)
+
+    def test_array_of_states_is_bitwise_the_scalar_calls(self):
+        th = np.array([0.0, 1e-300, 0.4, math.pi / 2.0, 2.0, math.pi - 1e-8, math.pi])
+        f = np.array([[0.0], [1e-12], [0.3], [1.0 - 1e-15], [1.0]])
+        c, s = bloch_angle(f, th)
+        assert c.shape == s.shape == (len(f), len(th))
+        for j, t0 in enumerate(th):
+            cj, sj = bloch_angle(f[:, 0], float(t0))
+            assert np.array_equal(c[:, j], cj) and np.array_equal(s[:, j], sj)
+
+    def test_against_eigenvector_at_40_digits(self):
+        # the + eigenvector of the density matrix, from mpmath's symmetric
+        # eigensolver, with theta0 and F read as the exact doubles given
+        import mpmath as mp
+        rng = np.random.default_rng(19)
+        ths = [0.0, 1e-300, math.pi / 2.0, math.pi - 1e-8, math.pi,
+               *rng.uniform(0.0, math.pi, 3)]
+        fs = [0.0, 1e-12, 1.0 - 1e-15, 1.0, *rng.uniform(0.0, 1.0, 3)]
+        c, s = bloch_angle(np.array(fs)[:, None], np.array(ths))
+        with mp.workdps(40):
+            for j, t0 in enumerate(ths):
+                for i, f in enumerate(fs):
+                    half = mp.mpf(t0) / 2
+                    off = mp.mpf(f) * mp.sin(half) * mp.cos(half)
+                    rho = mp.matrix([[mp.cos(half) ** 2, off], [off, mp.sin(half) ** 2]])
+                    vals, vecs = mp.eigsy(rho)
+                    k = 0 if vals[0] > vals[1] else 1
+                    # off >= 0: the + eigenvector has components of one sign
+                    want = (abs(vecs[0, k]), abs(vecs[1, k]))
+                    assert abs(c[i, j] - want[0]) <= 4 * np.finfo(float).eps, (t0, f)
+                    assert abs(s[i, j] - want[1]) <= 4 * np.finfo(float).eps, (t0, f)
 
 
 class TestGeometricPhase:
@@ -367,12 +401,13 @@ class TestSurfaceAgainstPerPointLoop:
 
 
 def count_cycle_integrals(monkeypatch):
-    """List that gains one entry per cycle integral geomphase runs."""
+    """List that gains the component count of each cycle integral geomphase runs."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(1)
-        return integrate_finite(*args, **kwargs)
+        res = integrate_finite(*args, **kwargs)
+        calls.append(np.size(res.value))
+        return res
 
     monkeypatch.setattr(geomphase, "integrate_finite", counted)
     return calls
@@ -396,9 +431,9 @@ class TestOneIntegralPerTable:
         assert sweep.delta_abs.shape == (3, 21)
         assert len(calls) == 21
 
-    @pytest.mark.parametrize("budget,integrals", [(6, 3), (2, 5)])
-    def test_component_budget_groups_whole_rows(self, monkeypatch, budget, integrals):
-        # 5 rows of 3 live couplings: 2 + 2 + 1 rows at 6, one row each below 3
+    @pytest.mark.parametrize("budget,integrals", [(6, 3), (2, 8)])
+    def test_component_budget_cuts_live_pairs(self, monkeypatch, budget, integrals):
+        # 5 rows of 3 live couplings, 15 pairs: 6 + 6 + 3 at 6, 7 x 2 + 1 at 2
         th = np.linspace(0.2, 2.8, 5)
         ga = np.array([0.0, 0.5, 1.0, 2.0])
         tol = 1e-9
@@ -409,6 +444,30 @@ class TestOneIntegralPerTable:
         assert len(calls) == integrals
         assert np.all(np.abs(cut.delta_abs - whole.delta_abs) <= 2.0 * tol)
         assert np.all(cut.delta_abs[:, 0] == 0.0)
+
+    def test_component_budget_cuts_inside_a_row(self, monkeypatch):
+        # one theta0 with 7 live couplings: 3 + 3 + 1, not one 7-component integral
+        ga = np.linspace(0.0, 2.1, 8)
+        tol = 1e-9
+        whole = gp_surface(cfg(1.0), [math.pi / 4.0], ga, tol=tol)
+        monkeypatch.setattr(geomphase, "_COMPONENTS", 3)
+        calls = count_cycle_integrals(monkeypatch)
+        cut = gp_surface(cfg(1.0), [math.pi / 4.0], ga, tol=tol)
+        assert calls == [3, 3, 1]
+        assert np.all(np.abs(cut.delta_abs - whole.delta_abs) <= 2.0 * tol)
+
+    def test_memory_does_not_grow_with_the_couplings(self):
+        # 10 x the couplings of one theta0 is 10 x the integrals, not 10 x the nodes held
+        def peak(n):
+            tracemalloc.start()
+            try:
+                geomphase._cycle_corrections(cfg(1.0), [math.pi / 4.0],
+                                             np.linspace(0.0, 1.0, n), 1e-9)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(20_001) <= 1.5 * peak(2_001)
 
 
 class TestLambdaSweep:
