@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bath import BathConfig, PhaseProfile, SpectralDensity
+from .bath import _MAX_OHMICITY, BathConfig, PhaseProfile, SpectralDensity
 from .numerics import ConvergenceError, QuadratureResult, integrate_semi_infinite
 
 __all__ = [
@@ -146,11 +146,15 @@ def _oscillation_controls(t: float, config: BathConfig):
     return (2.0 * math.pi / rate if rate > 1e-12 else None), 0.0
 
 
+_LOG_FACTORIAL = [math.lgamma(k + 1) for k in range(_MAX_OHMICITY + 1)]  # log k!
+
+
 def _log_upper_gamma(n: int, x: float) -> float:
     """log Gamma(n + 1, x) = log(n! e^-x sum_{k<=n} x^k / k!), overflow-free."""
-    terms = [k * math.log(x) - math.lgamma(k + 1) for k in range(n + 1)]
+    log_x = math.log(x)
+    terms = [k * log_x - _LOG_FACTORIAL[k] for k in range(n + 1)]
     top = max(terms)
-    return math.lgamma(n + 1) - x + top + math.log(sum(math.exp(v - top) for v in terms))
+    return _LOG_FACTORIAL[n] - x + top + math.log(sum(math.exp(v - top) for v in terms))
 
 
 def _tail_cutoff(n: int, log_target: float) -> float:

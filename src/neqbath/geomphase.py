@@ -120,7 +120,7 @@ def unitary_phase(state):
     return math.pi * (1.0 + np.cos(_theta0_of(state)))
 
 
-_COMPONENTS = 2048  # live (theta0, gamma) pairs per cycle integral: bounds its node values
+_COMPONENTS = 1460  # live (theta0, gamma) pairs per cycle integral: bounds its node values
 
 
 def _cycle_corrections(config: BathConfig, theta0s, gammas, tol: float):

@@ -1,8 +1,8 @@
 """Deterministic adaptive quadrature.
 
-Everything here is fixed-order Gauss-Kronrod panel integration.  No
-randomness, no environment dependence: identical inputs give
-bitwise-identical outputs.
+Everything here is adaptive panel integration with one fixed rule,
+QUADPACK's G10/K21 Gauss-Kronrod pair.  No randomness, no environment
+dependence: identical inputs give bitwise-identical outputs.
 """
 
 from __future__ import annotations
@@ -49,77 +49,66 @@ class ConvergenceError(RuntimeError):
         self.result = result
 
 
-# 15-point Kronrod extension of 7-point Gauss (nonneg abscissae, descending).
+# QUADPACK's qk21: 21-point Kronrod extension of 10-point Gauss (nonneg abscissae, descending)
 _XGK = np.array([
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-    0.000000000000000000000000000000000,
-])
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.000000000000000000000000000000000])
 _WGK = np.array([
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-])
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
 _WG = np.array([
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-])
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
 
-# sorted node layout on [-1, 1]; Gauss-7 sits at the odd indices
-_NODES = np.concatenate([-_XGK[:7], [0.0], _XGK[6::-1]])
-_WK_FULL = np.concatenate([_WGK[:7], [_WGK[7]], _WGK[6::-1]])
-_WG_FULL = np.array([_WG[0], _WG[1], _WG[2], _WG[3], _WG[2], _WG[1], _WG[0]])
+# sorted node layout on [-1, 1]; Gauss-10 sits at the odd indices
+_NODES = np.concatenate([-_XGK, _XGK[-2::-1]])
+_WK_FULL = np.concatenate([_WGK, _WGK[-2::-1]])
+_WG_FULL = np.concatenate([_WG, _WG[::-1]])
 
 _MAX_INITIAL_PANELS = 8192
 _MAX_PANELS = 10_000  # refinement stops here; an initial partition may exceed it
+_PERIODS = 3  # local periods per initial panel (fewest integrand points)
 
 
 def _eval_panels(f: Callable, a: np.ndarray, b: np.ndarray):
-    """Gauss-Kronrod on each [a_i, b_i]: (K15, |K15-G7|), panels on the last axis."""
+    """Gauss-Kronrod on each [a_i, b_i]: (K21, |K21-G10|), panels on the last axis."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     pts = c[:, None] + h[:, None] * _NODES[None, :]
     vals = np.asarray(f(pts.ravel()), dtype=float)
     vals = vals.reshape(vals.shape[:-1] + pts.shape)
-    if not np.all(np.isfinite(vals)):
+    k21 = h * (vals @ _WK_FULL)
+    # a non-finite node makes its panel's sum non-finite: scan vals only then
+    if not np.isfinite(k21).all():
         bad = ~np.isfinite(vals).reshape(-1, pts.size).all(axis=0)
-        x = float(pts.ravel()[np.argmax(bad)])  # the first bad node
-        raise ValueError(f"integrand returned a non-finite value at x = {x!r}")
-    k15 = h * (vals @ _WK_FULL)
-    g7 = h * (vals[..., 1::2] @ _WG_FULL)
-    return k15, np.abs(k15 - g7)
+        if bad.any():
+            x = float(pts.ravel()[np.argmax(bad)])  # the first bad node
+            raise ValueError(f"integrand returned a non-finite value at x = {x!r}")
+    g10 = h * (vals[..., 1::2] @ _WG_FULL)
+    return k21, np.abs(k21 - g10)
 
 
 def _adapt(f, a, b, tol):
-    k15, err = _eval_panels(f, a, b)
+    k21, err = _eval_panels(f, a, b)
     while True:
         n = len(a)
         if np.all(err.sum(axis=-1) <= tol) or n >= _MAX_PANELS:
             break
-        # split every panel above its fair share of the budget in any
-        # component; always split the worst one so progress is guaranteed
+        # split every panel above its fair share of the budget in any component,
+        # or NaN (overflowed sums): while a sum exceeds tol, some panel does
         peak = err.reshape(-1, n).max(axis=0)
-        sel = peak > tol / (2.0 * n)
-        if not sel.any():
-            sel = peak == peak.max()
-        idx = np.flatnonzero(sel)
+        idx = np.flatnonzero(~(peak <= tol / (2.0 * n)))
         if n + len(idx) > _MAX_PANELS:
-            order = np.argsort(peak[idx])[::-1]
-            idx = idx[order[: _MAX_PANELS - n]]
-            if len(idx) == 0:
-                break
+            idx = idx[np.argsort(peak[idx])[::-1][: _MAX_PANELS - n]]
         mid = 0.5 * (a[idx] + b[idx])
         new_a = np.concatenate([a[idx], mid])
         new_b = np.concatenate([mid, b[idx]])
@@ -128,10 +117,10 @@ def _adapt(f, a, b, tol):
         keep[idx] = False
         a = np.concatenate([a[keep], new_a])
         b = np.concatenate([b[keep], new_b])
-        k15 = np.concatenate([k15[..., keep], new_k], axis=-1)
+        k21 = np.concatenate([k21[..., keep], new_k], axis=-1)
         err = np.concatenate([err[..., keep], new_e], axis=-1)
-    value, total_err = (k15.sum(axis=-1), err.sum(axis=-1)) if err.ndim > 1 \
-        else (float(k15.sum()), float(err.sum()))
+    value, total_err = (k21.sum(axis=-1), err.sum(axis=-1)) if err.ndim > 1 \
+        else (float(k21.sum()), float(err.sum()))
     return QuadratureResult(
         value=value,
         error=total_err,
@@ -163,29 +152,34 @@ def integrate_finite(
 def _initial_edges(upper: float, period_hint: Optional[float], chirp: float) -> np.ndarray:
     """Panel edges on [0, upper] for local angular frequency k0 + chirp w.
 
-    Panels are w0 = min(upper / 64, period_hint) wide while one local
-    period, 2 pi / k(a) at the left edge a, exceeds w0; then 2 pi apart
-    in the phase k0 w + chirp w^2 / 2 while that cap exceeds the floor
+    Every panel spans at most _PERIODS local periods, 2 pi _PERIODS / k(a)
+    at its left edge a: panels are w0 = min(upper / 64, _PERIODS
+    period_hint) wide while that cap exceeds w0; then 2 pi _PERIODS apart
+    in the phase k0 w + chirp w^2 / 2 while it exceeds the floor
     upper / 8192; then floor-wide, which bounds their number.  _adapt
-    splits them where G7 and K15 disagree.
+    splits them where G10 and K21 disagree.
     """
     floor = upper / _MAX_INITIAL_PANELS
+    step = 2.0 * math.pi * _PERIODS  # phase across one panel
     k0 = 2.0 * math.pi / period_hint if period_hint is not None and period_hint > 0 else 0.0
-    w0 = max(min(upper / 64.0, 2.0 * math.pi / k0 if k0 else upper), floor)
+    w0 = max(min(upper / 64.0, step / k0 if k0 else upper), floor)
     a1 = a2 = upper
     if chirp > 0:
-        a1 = min(max((2.0 * math.pi / w0 - k0) / chirp, 0.0), upper)
-        a2 = min(max((2.0 * math.pi / floor - k0) / chirp, a1), upper)
+        a1 = min(max((step / w0 - k0) / chirp, 0.0), upper)
+        a2 = min(max((step / floor - k0) / chirp, a1), upper)
     p1 = a1 * (k0 + 0.5 * chirp * a1)
     p2 = a2 * (k0 + 0.5 * chirp * a2)
-    phase = p1 + 2.0 * math.pi * np.arange(math.ceil((p2 - p1) / (2.0 * math.pi)))
-    return np.unique(np.concatenate([
+    phase = p1 + step * np.arange(math.ceil((p2 - p1) / step))
+    edges = np.sort(np.concatenate([
         w0 * np.arange(math.ceil(a1 / w0)),
         # root of chirp w^2 / 2 + k0 w = phase without cancellation
         2.0 * phase / (k0 + np.sqrt(k0 * k0 + 2.0 * chirp * phase)),
         a2 + floor * np.arange(math.ceil((upper - a2) / floor)),
         [upper],
     ]))
+    keep = np.ones(len(edges), dtype=bool)
+    keep[1:] = edges[1:] > edges[:-1]  # the first of equal edges, as np.unique
+    return edges[keep]
 
 
 def integrate_semi_infinite(
@@ -200,7 +194,7 @@ def integrate_semi_infinite(
     upper: truncation point; the error covers [0, upper] only, so a
         caller truncating an infinite range adds its own tail bound.
     period_hint, chirp: f oscillates with period period_hint at 0 and its angular
-        frequency grows at rate chirp; initial panels span one local period (_initial_edges).
+        frequency grows at rate chirp; initial panels span _PERIODS local periods.
     Refinement stops at _MAX_PANELS panels.
     """
     if upper <= 0:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from neqbath import dephasing
 from neqbath.bath import BathConfig
 from neqbath.cli import grid_array
 from neqbath.dephasing import (
@@ -256,7 +257,7 @@ class TestTruncatedQuadrature:
     def greedy_edges(upper, hint, cap):
         # the panel-by-panel construction the closed-form grid replaces
         floor = upper / 8192.0
-        w0 = max(min(upper / 64.0, hint if hint else upper), floor)
+        w0 = max(min(upper / 64.0, 3.0 * hint if hint else upper), floor)
         edges = [0.0]
         while edges[-1] < upper:
             w = max(min(w0, cap(edges[-1])), floor)
@@ -272,15 +273,16 @@ class TestTruncatedQuadrature:
         edges = _initial_edges(upper, hint, chirp)
         widths = np.diff(edges)
         floor = upper / 8192.0
-        w0 = max(min(upper / 64.0, hint), floor)
-        cap = math.pi / (t + 2.0 * lam * edges[:-1])
+        w0 = max(min(upper / 64.0, 3.0 * hint), floor)
+        # three local periods, 2 pi / (2 t + 4 lam a) each
+        cap = 3.0 * math.pi / (t + 2.0 * lam * edges[:-1])
         assert edges[0] == 0.0 and edges[-1] == upper
         assert np.all(widths > 0.0)
         assert np.all(widths <= w0 * (1.0 + 1e-12))
         # past the point where the cap falls below the floor, the floor rules
         assert np.all(widths <= np.maximum(cap, floor) * (1.0 + 1e-12))
         greedy = self.greedy_edges(
-            upper, hint, lambda a: math.pi / (t + 2.0 * lam * a))
+            upper, hint, lambda a: 3.0 * math.pi / (t + 2.0 * lam * a))
         assert len(edges) <= 1.05 * len(greedy) + 3
 
     def test_linear_grid_is_uniform_below_one_period(self):
@@ -414,10 +416,17 @@ class TestQuadraticReference:
         ts = (0.05, 0.5, 1.3, 3.0, 7.5)
         self.assert_within_error([(t, beta_quadrature(t, c)) for t in ts], c)
 
-    def test_figure3_panel_budget(self, figure3):
-        # one local period per initial panel, split only where G7 and K15 disagree
-        panels = sum(res.subdivisions for runs in figure3.values() for _, res in runs)
-        assert panels <= 450_000
+    def test_figure3_point_budget(self, monkeypatch):
+        # three local periods per initial panel, split only where G10 and K21
+        # disagree: 3.58 M points (6.44 M with one period and G7/K15)
+        points = []
+        integrand = dephasing.beta_integrand
+        monkeypatch.setattr(dephasing, "beta_integrand", lambda w, t, c: (
+            points.append(len(w)) or integrand(w, t, c)))
+        for n in (1, 3):
+            for t in grid_array((0.0, 10.0, 0.02)):
+                beta_quadrature(float(t), cfg(FIG3, ohmicity=n))
+        assert sum(points) <= 4_000_000
 
 
 class TestDispatch:

@@ -12,7 +12,34 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finite_difference import finite_difference_curvature, finite_difference_slope
-from neqbath.numerics import integrate_finite, integrate_semi_infinite
+from neqbath.numerics import (
+    _NODES,
+    _WG_FULL,
+    _WK_FULL,
+    integrate_finite,
+    integrate_semi_infinite,
+)
+
+EPS = np.finfo(float).eps
+
+
+class TestRule:
+    """The G10/K21 constants: a mistyped digit breaks exactness or symmetry."""
+
+    def test_nodes_and_weights_are_symmetric(self):
+        assert np.all(np.diff(_NODES) > 0.0)
+        assert np.array_equal(_NODES, -_NODES[::-1])
+        assert np.array_equal(_WK_FULL, _WK_FULL[::-1])
+        assert np.array_equal(_WG_FULL, _WG_FULL[::-1])
+
+    @pytest.mark.parametrize("k", range(32))
+    def test_polynomials_integrate_exactly(self, k):
+        # int_-1^1 x^k dx (k = 0: the weights sum to 2); K21 has degree 31,
+        # the G10 at its odd nodes 19
+        want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(_NODES ** k @ _WK_FULL - want) <= 4.0 * EPS
+        if k <= 19:
+            assert abs(_NODES[1::2] ** k @ _WG_FULL - want) <= 4.0 * EPS
 
 
 def test_exponential_moment():
@@ -158,6 +185,24 @@ def test_nonfinite_integrand_names_its_place():
         integrate_finite(inverse, -1.0, 1.0, tol=1e-8)
     place = float(str(exc_info.value).rsplit("x = ", 1)[1])
     assert abs(place) <= 1e-300
+
+
+def test_overflowing_sum_of_finite_values_is_no_bad_node():
+    # every node value is finite, but the weighted sums overflow: no node
+    # is to blame, so the run refines to its cap and reports no convergence
+    big = np.finfo(float).max
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = integrate_finite(lambda t: np.full_like(t, big), 0.0, 4.0, tol=1.0)
+    assert not res.converged and res.subdivisions == 10_000
+
+
+def test_nan_at_one_node_is_named():
+    # 0.125 is the centre node of the panel [0, 0.25]
+    def f(t):
+        return np.where(t == 0.125, math.nan, np.sin(t))
+
+    with pytest.raises(ValueError, match=r"non-finite value at x = 0\.125$"):
+        integrate_finite(f, -1.0, 1.0, tol=1e-8)
 
 
 def test_bad_arguments():
