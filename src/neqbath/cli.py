@@ -9,12 +9,14 @@ Subcommands
 
 Numbers are written with 17 significant digits so a written CSV reparses
 to the exact float that was computed.  Exit codes: 0 success, 2 bad
-configuration (or a run too large to allocate), 3 numerical non-convergence.
+configuration (or a run too large to allocate, or an output path that
+cannot be written), 3 numerical non-convergence.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -184,70 +186,66 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return format(float(value), ".17g")
 
 
-def _json_cell(value):
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    v = float(value)
-    return v if math.isfinite(v) else None
+# rows formatted and written per block, so the text held at once stays
+# bounded whatever the table's length
+_BLOCK_ROWS = 4096
+
+
+def _null_nonfinite(obj):
+    """obj with every non-finite float replaced by None, for strict JSON."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _null_nonfinite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_null_nonfinite(v) for v in obj]
+    return obj
 
 
 def write_table(out: Optional[str], table: _Table, json_mode: bool):
     """Emit one table as CSV (default) or a JSON document.
 
-    CSV: one header line, 17-significant-digit cells, then any comment
-    lines prefixed with '# '.  JSON: metadata + columns + row arrays,
-    with non-finite numbers mapped to null.
+    CSV: one header line, 17-significant-digit cells written in blocks
+    of _BLOCK_ROWS rows, then any comment lines prefixed with '# '.
+    JSON: metadata + columns + row arrays in one document, with every
+    non-finite number mapped to null.
     """
-    if json_mode:
-        doc = {
-            "metadata": table.metadata,
-            "columns": list(table.columns),
-            "rows": [[_json_cell(v) for v in row] for row in table.rows],
-        }
-        if table.comments:
-            doc["comments"] = list(table.comments)
-        doc.update(table.extra)
-        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    else:
-        lines = [",".join(table.columns)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in table.rows)
-        lines.extend(f"# {c}" for c in table.comments)
-        text = "\n".join(lines) + "\n"
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+    cols = list(table.columns.values())
+    with (contextlib.nullcontext(sys.stdout) if out is None or out == "-"
+          else open(out, "w")) as fh:
+        if json_mode:
+            rows = list(zip(*(_null_nonfinite(c.tolist()) for c in cols)))
+            doc = {"metadata": _null_nonfinite(table.metadata),
+                   "columns": list(table.columns), "rows": rows,
+                   **({"comments": table.comments} if table.comments else {}),
+                   **_null_nonfinite(table.extra)}
+            fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+            return
+        line = ",".join("%s" if c.dtype.kind == "U" else "%.17g" for c in cols)
+        fh.write(",".join(table.columns) + "\n")
+        for i in range(0, len(cols[0]), _BLOCK_ROWS):
+            block = zip(*(c[i:i + _BLOCK_ROWS].tolist() for c in cols))
+            fh.write("".join(line % row + "\n" for row in block))
+        fh.write("".join(f"# {c}\n" for c in table.comments))
 
 
 def _metadata(cfg: RunConfig, command: str, **extra) -> dict:
-    meta = {
-        "command": command,
-        "version": __version__,
-        "gamma": cfg.gamma,
-        "cutoff": cfg.cutoff,
-        "diffusion": cfg.diffusion,
-        "phase_lambda": cfg.phase_lambda,
-        "ohmicity": cfg.ohmicity,
-        "profile": cfg.profile,
-    }
-    meta.update(extra)
-    return meta
+    bath = ("gamma", "cutoff", "diffusion", "phase_lambda", "ohmicity", "profile")
+    return {"command": command, "version": __version__,
+            **{name: getattr(cfg, name) for name in bath}, **extra}
 
 
 class _Table(NamedTuple):
-    """One output table, as write_table prints it."""
+    """One output table, as write_table prints it.
 
-    columns: list
-    rows: list
+    columns maps each header name to a 1-D array of equal length: float,
+    or str for the text columns (method, note).
+    """
+
+    columns: dict
     comments: list
     metadata: dict
     extra: dict
@@ -265,10 +263,9 @@ def _decoherence_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
         raise ConfigError("time grid must start at t >= 0")
     curve = decoherence_factor(times, cfg.bath_config(), tol=tol,
                                method=args.method)
-    rows = [(t, v, e, curve.method)
-            for t, v, e in zip(curve.times, curve.values, curve.errors)]
-    comments = []
-    extra = {}
+    columns = {"t": curve.times, "F": curve.values, "err": curve.errors,
+               "method": np.full(len(curve.times), curve.method)}
+    comments, extra = [], {}
     if args.dip:
         found = find_dip(curve)
         if found is None:
@@ -281,7 +278,7 @@ def _decoherence_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
             )
             extra["dip"] = {"t": found.time, "F": found.value,
                             "prominence": found.prominence}
-    return _Table(["t", "F", "err", "method"], rows, comments,
+    return _Table(columns, comments,
                   _metadata(cfg, "decoherence", grid=list(cfg.grid)), extra)
 
 
@@ -289,23 +286,21 @@ def _gp_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
     """The geometric-phase table of mode cfg.mode."""
     bath = cfg.bath_config()
     if cfg.mode == "point":
-        res = geometric_phase(bath, cfg.theta0)
-        rows = [(cfg.theta0, res.phi_g, res.phi_u, res.delta, res.tol)]
-        return _Table(["theta0", "phi_g", "phi_u", "delta", "err"], rows, [],
+        th = np.array([cfg.theta0])
+        res = geometric_phase(bath, th)
+        columns = {"theta0": th, "phi_g": res.phi_g, "phi_u": res.phi_u,
+                   "delta": res.delta, "err": res.tol}
+        return _Table(columns, [],
                       _metadata(cfg, "gp", mode="point", theta0=cfg.theta0), {})
     if cfg.mode == "surface":
         th = grid_array(cfg.theta0_grid)
         ga = grid_array(cfg.gamma_grid)
-        surf = gp_surface(bath, th, ga)
-        rows = []
-        for i, t0 in enumerate(th):
-            for j, g in enumerate(ga):
-                r = surf.ratio[i, j]
-                if math.isfinite(r):
-                    rows.append((t0, g, r, ""))
-                else:
-                    rows.append((t0, g, float("nan"), "undefined-normalization"))
-        return _Table(["theta0", "gamma", "delta_phi_norm", "note"], rows, [],
+        ratio = gp_surface(bath, th, ga).ratio.ravel()
+        finite = np.isfinite(ratio)
+        columns = {"theta0": np.repeat(th, len(ga)), "gamma": np.tile(ga, len(th)),
+                   "delta_phi_norm": np.where(finite, ratio, np.nan),
+                   "note": np.where(finite, "", "undefined-normalization")}
+        return _Table(columns, [],
                       _metadata(cfg, "gp", mode="surface",
                                 theta0_grid=list(cfg.theta0_grid),
                                 gamma_grid=list(cfg.gamma_grid)), {})
@@ -313,9 +308,9 @@ def _gp_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
         th = grid_array(cfg.theta0_grid)
         lams = grid_array(cfg.lambda_grid)
         sweep = gp_lambda_sweep(bath, th, lams)
-        rows = [(t0, lam, sweep.delta_abs[i, j])
-                for i, t0 in enumerate(th)
-                for j, lam in enumerate(lams)]
+        columns = {"theta0": np.repeat(th, len(lams)),
+                   "lambda": np.tile(lams, len(th)),
+                   "delta_phi": sweep.delta_abs.ravel()}
         comments = [
             f"monotone theta0={_fmt(t0)}: "
             + ("yes" if sweep.monotone[i]
@@ -325,21 +320,20 @@ def _gp_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
         extra = {"theta0_values": [float(v) for v in th],
                  "monotone": [bool(b) for b in sweep.monotone],
                  "max_increase": [float(v) for v in sweep.max_increase]}
-        return _Table(["theta0", "lambda", "delta_phi"], rows, comments,
+        return _Table(columns, comments,
                       _metadata(cfg, "gp", mode="lambda",
                                 theta0_grid=list(cfg.theta0_grid),
                                 lambda_grid=list(cfg.lambda_grid)), extra)
     if cfg.mode == "gamma":
         ga = grid_array(cfg.gamma_grid)
         exact, pred = gamma_comparison(bath, cfg.theta0, ga)
-        rows = list(zip(ga, exact, pred))
         coeff = first_order_coefficient(bath)
         comments = [
             f"exact first-order coefficient C = {_fmt(coeff)}: phi_g = "
             "phi_u + gamma C sin(theta0)^2 cos(theta0) + O(gamma^2); "
             "phi_g_pred uses the paper's asymptotic coefficient"
         ]
-        return _Table(["gamma", "phi_g", "phi_g_pred"], rows, comments,
+        return _Table({"gamma": ga, "phi_g": exact, "phi_g_pred": pred}, comments,
                       _metadata(cfg, "gp", mode="gamma", theta0=cfg.theta0,
                                 gamma_grid=list(cfg.gamma_grid)),
                       {"first_order_coefficient": coeff})
@@ -356,9 +350,9 @@ def _mc_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
     mc = mc_decoherence_factor(bath, ens)
     analytic = decoherence_factor(mc.times, bath)
     dev = mc.values - analytic.values
-    rows = list(zip(mc.times, mc.values, mc.errors, analytic.values, dev))
     max_dev = float(np.max(np.abs(dev)))
-    return _Table(["t", "F_mc", "stderr", "F_analytic", "dev"], rows,
+    return _Table({"t": mc.times, "F_mc": mc.values, "stderr": mc.errors,
+                   "F_analytic": analytic.values, "dev": dev},
                   [f"max|F_mc - F_analytic| = {_fmt(max_dev)}"],
                   _metadata(cfg, "mc", seed=cfg.seed, n_modes=cfg.n_modes,
                             n_trajectories=cfg.n_trajectories, dt=cfg.dt,
@@ -373,9 +367,10 @@ def _pdist_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
     if not cfg.times:
         raise ConfigError("at least one snapshot time is required")
     x = np.linspace(-math.pi, math.pi, cfg.nx)
-    rows = [(t, xi, pi) for t in cfg.times
-            for xi, pi in zip(x, phase_distribution_eval(cfg.diffusion, x, float(t)))]
-    return _Table(["t", "x", "P"], rows, [],
+    p = np.concatenate([phase_distribution_eval(cfg.diffusion, x, float(t))
+                        for t in cfg.times])
+    return _Table({"t": np.repeat(cfg.times, cfg.nx),
+                   "x": np.tile(x, len(cfg.times)), "P": p}, [],
                   _metadata(cfg, "pdist", times=list(cfg.times), nx=cfg.nx), {})
 
 
@@ -523,6 +518,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # input; an array too large to allocate is a run sized past the machine
     except (ValueError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an output path that cannot be written
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)

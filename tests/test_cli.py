@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -431,6 +432,74 @@ class TestPdistCommand:
         assert [float(row[2]) for row in data] == [1.0 / (2.0 * math.pi)] * 5
 
 
+    def test_infinite_time_in_json_is_null(self, tmp_path):
+        # formerly exit 2: the metadata's times list held a bare inf
+        out = tmp_path / "p.json"
+        assert run_cli(["pdist", "--times", "0.1,inf", "--nx", "5", "--json",
+                        "--out", str(out)]) == 0
+        text = out.read_text()
+        assert "Infinity" not in text
+        doc = json.loads(text)
+        assert doc["metadata"]["times"] == [0.1, None]
+        inf_rows = doc["rows"][5:]
+        assert [row[0] for row in inf_rows] == [None] * 5
+        assert [row[2] for row in inf_rows] == [1.0 / (2.0 * math.pi)] * 5
+
+
+class TestTableOutput:
+    """CSV and --json are written from one set of named columns."""
+
+    @pytest.mark.parametrize("argv", [
+        ["decoherence", "--dip", "--grid", "0:3:0.1"],
+        ["gp"],
+        ["gp", "--mode", "surface", "--gamma-grid", "0:1:0.5",
+         "--theta0-grid", f"0:{math.pi!r}:{math.pi / 4!r}"],
+        ["gp", "--mode", "lambda", "--theta0-grid", "0.3:0.9:0.3",
+         "--lambda-grid", "0:2:0.5"],
+        ["gp", "--mode", "gamma", "--gamma-grid", "0:0.2:0.05"],
+        ["mc", "--n-modes", "16", "--n-trajectories", "1", "--horizon", "0.5"],
+        ["pdist", "--times", "0.1,2", "--nx", "9"],
+    ], ids=["decoherence-dip", "gp-point", "gp-surface", "gp-lambda",
+            "gp-gamma", "mc-1", "pdist"])
+    def test_csv_and_json_agree_cell_for_cell(self, argv, tmp_path):
+        csv_out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the 16-mode MC's coverage
+            assert run_cli(argv + ["--out", str(csv_out)]) == 0
+            assert run_cli(argv + ["--json", "--out", str(json_out)]) == 0
+        header, data, comments = read_csv(csv_out)
+        doc = json.loads(json_out.read_text())
+        assert header == doc["columns"]
+        assert comments == doc.get("comments", [])
+        assert len(data) == len(doc["rows"]) > 0
+        for j, name in enumerate(header):
+            cells = [row[j] for row in data]
+            jcells = [row[j] for row in doc["rows"]]
+            if name in ("method", "note"):
+                assert cells == jcells
+            else:
+                np.testing.assert_array_equal(
+                    [float(c) for c in cells],
+                    [math.nan if c is None else c for c in jcells])
+        if argv[:3] == ["gp", "--mode", "surface"]:
+            assert "undefined-normalization" in [row[3] for row in data]
+        if argv[0] == "mc":
+            assert all(row[2] is None for row in doc["rows"])
+
+    def test_memory_is_flat_in_the_row_count(self, tmp_path):
+        # 81,940 rows: the three float columns take 2 MB; the row tuples
+        # and the whole text once took 28 MB
+        times = ",".join(f"{0.05 * (k + 1):.2f}" for k in range(20))
+        tracemalloc.start()
+        try:
+            assert run_cli(["pdist", "--times", times, "--nx", "4097",
+                            "--out", str(tmp_path / "p.csv")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6e6
+
+
 class TestReproduceFigure:
     def test_weak_coupling_curves(self, tmp_path):
         assert run_cli(["reproduce-figure", "2",
@@ -578,6 +647,25 @@ class TestExitCodes:
     def test_former_tracebacks_exit_2(self, argv, tmp_path, capsys):
         assert run_cli(argv + ["--out", str(tmp_path / "x.csv")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,path", [
+        (["decoherence", "--grid", "0:1:0.5", "--out", "{tmp}"], "{tmp}"),
+        (["decoherence", "--grid", "0:1:0.5", "--out", "{tmp}/missing/x.csv"],
+         "{tmp}/missing/x.csv"),
+        (["reproduce-figure", "1", "--out-dir", "{tmp}/file/sub"],
+         "{tmp}/file/sub"),
+    ], ids=["directory", "missing-directory", "file-as-directory"])
+    def test_unwritable_output_exits_2(self, argv, path, tmp_path):
+        # formerly exit 1 with a traceback
+        (tmp_path / "file").write_text("")
+        src = str(Path(neqbath.__file__).resolve().parents[1])
+        env_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "neqbath.cli", *(a.format(tmp=tmp_path) for a in argv)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=env_path))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert path.format(tmp=tmp_path) in proc.stderr
 
     @pytest.mark.parametrize("argv,field", [
         (["decoherence", "--profile", "quadratic", "--tol", "nan"], "tol"),
