@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .bath import BathConfig, phase_distribution_eval
+from .bath import _PROFILE_KINDS, BathConfig, phase_distribution_eval
 from .dephasing import decoherence_factor, find_dip
 from .geomphase import first_order_coefficient, gamma_comparison, \
     geometric_phase, gp_lambda_sweep, gp_surface
@@ -76,30 +76,25 @@ class RunConfig:
         )
 
 
-# each RunConfig field's kind, which rules how its file value is checked;
-# any other key is rejected so typos fail loudly instead of running defaults
+# each RunConfig field's kind, which rules how its value is checked; any
+# other config key is rejected so typos fail loudly instead of running defaults
 _KINDS = {f.name: "grid" if f.name.endswith("grid") else f.type
           for f in fields(RunConfig)}
-
-
-def _parse_grid(text: str) -> tuple:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"grid must be start:stop:step, got {text!r}")
-    return _check_grid(parts)
+# the allowed values of the str fields, for the flags and the config file
+_CHOICES = {"profile": _PROFILE_KINDS,
+            "mode": ("point", "surface", "lambda", "gamma")}
 
 
 def _check_grid(grid) -> tuple:
     try:
         start, stop, step = (float(v) for v in grid)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"grid must be three numbers, got {grid!r}") from exc
+        raise ConfigError(
+            f"grid must be three numbers start:stop:step, got {grid!r}") from exc
     if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)):
         raise ConfigError(f"grid values must be finite, got {grid!r}")
     if step <= 0 or stop <= start:
-        raise ConfigError(
-            f"grid needs stop > start and step > 0, got {grid!r}"
-        )
+        raise ConfigError(f"grid needs stop > start and step > 0, got {grid!r}")
     if (stop - start) / step >= 1e6:
         raise ConfigError(f"grid {grid!r} has more than 1,000,000 points")
     return (start, stop, step)
@@ -109,13 +104,6 @@ def grid_array(grid) -> np.ndarray:
     start, stop, step = _check_grid(grid)
     n = int(math.floor((stop - start) / step + 1e-9)) + 1
     return start + step * np.arange(n)
-
-
-def _parse_times(text: str) -> tuple:
-    try:
-        return tuple(float(p) for p in text.split(",") if p.strip() != "")
-    except ValueError as exc:
-        raise ConfigError(f"times must be comma-separated numbers: {text!r}") from exc
 
 
 def load_config_file(path: str) -> dict:
@@ -136,21 +124,22 @@ def load_config_file(path: str) -> dict:
     return raw
 
 
-def _file_value(name: str, kind: str, val):
-    """A config-file value checked and coerced by its RunConfig field kind."""
+def _value(name: str, kind: str, val):
+    """A config-file or flag value checked and coerced by its field kind."""
     if kind == "grid":
         return _check_grid(val)
     if kind == "tuple":  # times
         if not isinstance(val, (list, tuple)):
             raise ConfigError("times must be a list of numbers")
-        return tuple(_file_value("times entry", "float", v) for v in val)
+        return tuple(_value("times entry", "float", v) for v in val)
     if kind == "int":
         if isinstance(val, bool) or not isinstance(val, int):
             raise ConfigError(f"{name} must be an integer, got {val!r}")
         return val
     if kind == "str":
-        if not isinstance(val, str):
-            raise ConfigError(f"{name} must be a string, got {val!r}")
+        if val not in _CHOICES[name]:
+            raise ConfigError(
+                f"{name} must be one of {', '.join(_CHOICES[name])}, got {val!r}")
         return val
     try:
         return float(val)
@@ -166,20 +155,11 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     """
     cfg = RunConfig()
     file_vals = load_config_file(args.config) if args.config else {}
-    for name, kind in _KINDS.items():
-        if name in file_vals:
-            setattr(cfg, name, _file_value(name, kind, file_vals[name]))
-    # flags win over the file; argparse has typed all but grids and times
-    for name, kind in _KINDS.items():
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(cfg, name, _parse_grid(val) if kind == "grid"
-                    else _parse_times(val) if kind == "tuple" else val)
-    if cfg.profile not in ("linear", "quadratic"):
-        raise ConfigError(
-            f"profile must be 'linear' or 'quadratic' on the command line, "
-            f"got {cfg.profile!r}"
-        )
+    flag_vals = {k: v for k, v in vars(args).items() if k in _KINDS and v is not None}
+    for given in (file_vals, flag_vals):
+        for name, kind in _KINDS.items():
+            if name in given:
+                setattr(cfg, name, _value(name, kind, given[name]))
     if not (0.0 <= cfg.theta0 <= math.pi):
         raise ConfigError(f"theta0 must lie in [0, pi], got {cfg.theta0}")
     return cfg
@@ -324,22 +304,18 @@ def _gp_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
                       _metadata(cfg, "gp", mode="lambda",
                                 theta0_grid=list(cfg.theta0_grid),
                                 lambda_grid=list(cfg.lambda_grid)), extra)
-    if cfg.mode == "gamma":
-        ga = grid_array(cfg.gamma_grid)
-        exact, pred = gamma_comparison(bath, cfg.theta0, ga)
-        coeff = first_order_coefficient(bath)
-        comments = [
-            f"exact first-order coefficient C = {_fmt(coeff)}: phi_g = "
-            "phi_u + gamma C sin(theta0)^2 cos(theta0) + O(gamma^2); "
-            "phi_g_pred uses the paper's asymptotic coefficient"
-        ]
-        return _Table({"gamma": ga, "phi_g": exact, "phi_g_pred": pred}, comments,
-                      _metadata(cfg, "gp", mode="gamma", theta0=cfg.theta0,
-                                gamma_grid=list(cfg.gamma_grid)),
-                      {"first_order_coefficient": coeff})
-    raise ConfigError(
-        f"gp mode must be point, surface, lambda or gamma, got {cfg.mode!r}"
-    )
+    ga = grid_array(cfg.gamma_grid)
+    exact, pred = gamma_comparison(bath, cfg.theta0, ga)
+    coeff = first_order_coefficient(bath)
+    comments = [
+        f"exact first-order coefficient C = {_fmt(coeff)}: phi_g = "
+        "phi_u + gamma C sin(theta0)^2 cos(theta0) + O(gamma^2); "
+        "phi_g_pred uses the paper's asymptotic coefficient"
+    ]
+    return _Table({"gamma": ga, "phi_g": exact, "phi_g_pred": pred}, comments,
+                  _metadata(cfg, "gp", mode="gamma", theta0=cfg.theta0,
+                            gamma_grid=list(cfg.gamma_grid)),
+                  {"first_order_coefficient": coeff})
 
 
 def _mc_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
@@ -380,34 +356,29 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-# The standard figures as canned runs of the decoherence and gp tables:
-# figure -> (figure-wide metadata, [(CSV name, table, RunConfig fields)]).
+# The standard figures as canned runs of the decoherence and gp subcommands:
+# figure -> (figure-wide metadata, [(CSV name, subcommand argv)]).
 # The RunConfig defaults hold the figures' common parameters.
 _FIGURES = {
     1: ({"note": "the static-noise Gaussian reference curve of the original "
                  "figure is a different bath family and is omitted"},
-        [("fig1_ohmic", "decoherence", dict(gamma=3.0, diffusion=0.5)),
-         ("fig1_supraohmic", "decoherence",
-          dict(gamma=3.0, diffusion=0.5, ohmicity=3))]),
-    2: ({}, [("fig2_ohmic", "dip", {}),
-             ("fig2_supraohmic", "dip", dict(ohmicity=3))]),
+        [("fig1_ohmic", "decoherence --gamma 3 --diffusion 0.5"),
+         ("fig1_supraohmic", "decoherence --gamma 3 --diffusion 0.5 --ohmicity 3")]),
+    2: ({}, [("fig2_ohmic", "decoherence --dip"),
+             ("fig2_supraohmic", "decoherence --dip --ohmicity 3")]),
     # the quadratic profile takes the quadrature route; a coarser grid
     # keeps the per-point bill reasonable
-    3: ({}, [("fig3_ohmic", "decoherence",
-              dict(gamma=3.0, profile="quadratic", grid=(0.0, 10.0, 0.02))),
-             ("fig3_supraohmic", "decoherence",
-              dict(gamma=3.0, profile="quadratic", grid=(0.0, 10.0, 0.02),
-                   ohmicity=3))]),
-    4: ({}, [("fig4_surface", "surface", dict(gamma_grid=(0.0, 2.0, 0.1)))]),
-    5: ({}, [("fig5_surface", "surface",
-              dict(gamma_grid=(0.0, 2.0, 0.1), ohmicity=3))]),
+    3: ({}, [("fig3_ohmic", "decoherence --gamma 3 --profile quadratic --grid 0:10:0.02"),
+             ("fig3_supraohmic", "decoherence --gamma 3 --profile quadratic "
+                                 "--grid 0:10:0.02 --ohmicity 3")]),
+    4: ({}, [("fig4_surface", "gp --mode surface --gamma-grid 0:2:0.1")]),
+    5: ({}, [("fig5_surface", "gp --mode surface --gamma-grid 0:2:0.1 --ohmicity 3")]),
     6: ({"note": "initial state not pinned by the caption; "
                  "theta0 = pi/4 chosen and recorded here"},
-        [("fig6_ohmic", "gamma", dict(gamma=0.1, diffusion=1.0)),
-         ("fig6_supraohmic", "gamma", dict(gamma=0.1, diffusion=1.0, ohmicity=3))]),
-    7: ({}, [("fig7_lambda", "lambda",
-              dict(gamma=3.0, theta0_grid=(math.pi / 8.0, 3.0 * math.pi / 8.0,
-                                           math.pi / 8.0)))]),
+        [("fig6_ohmic", "gp --mode gamma --gamma 0.1 --diffusion 1"),
+         ("fig6_supraohmic", "gp --mode gamma --gamma 0.1 --diffusion 1 --ohmicity 3")]),
+    7: ({}, [("fig7_lambda", "gp --mode lambda --gamma 3 --theta0-grid "
+              f"{math.pi / 8!r}:{3 * math.pi / 8!r}:{math.pi / 8!r}")]),
 }
 
 
@@ -418,43 +389,47 @@ def cmd_reproduce_figure(args: argparse.Namespace) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     notes, jobs = _FIGURES[args.number]
     meta_doc = {"figure": args.number, "version": __version__,
-                "files": [f"{name}.csv" for name, _, _ in jobs], **notes}
-    for name, kind, params in jobs:
-        opts = argparse.Namespace(dip=kind == "dip", tol=None, method=None)
-        if kind in ("decoherence", "dip"):
-            table = _decoherence_table(RunConfig(**params), opts)
-        else:
-            table = _gp_table(RunConfig(mode=kind, **params), opts)
+                "files": [f"{name}.csv" for name, _ in jobs], **notes}
+    for name, argv in jobs:
+        job = args.parser.parse_args(argv.split())
+        table = job.table(build_run_config(job), job)
         # only figure 7 keeps its comment lines; the dip and C go to the metadata
         write_table(str(outdir / f"{name}.csv"),
-                    table if kind == "lambda" else table._replace(comments=[]),
-                    False)
+                    table if table.metadata.get("mode") == "lambda"
+                    else table._replace(comments=[]), False)
         meta = {**table.metadata, **table.extra}
-        if len(jobs) == 1:
-            meta_doc.update(meta)
-        else:
-            meta_doc[name.split("_", 1)[1]] = meta
+        # a figure of two CSVs keeps each one's metadata under its tag
+        meta_doc.update(meta if len(jobs) == 1 else {name.split("_", 1)[1]: meta})
     meta_path = outdir / f"fig{args.number}_metadata.json"
     meta_path.write_text(json.dumps(meta_doc, indent=2) + "\n")
-    for name, _, _ in jobs:
+    for name, _ in jobs:
         print(outdir / f"{name}.csv")
     print(meta_path)
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--out", help="output path ('-' or omitted: stdout)")
-    p.add_argument("--json", action="store_true",
-                   help="emit a JSON document instead of CSV")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--cutoff", type=float)
-    p.add_argument("--diffusion", type=float)
-    p.add_argument("--phase-lambda", type=float, dest="phase_lambda")
-    p.add_argument("--ohmicity", type=int)
-    p.add_argument("--theta0", type=float)
-    p.add_argument("--profile", choices=["linear", "quadratic"])
-    p.add_argument("--seed", type=int)
+# table subcommand -> (help, table function, its own RunConfig fields);
+# each also takes the shared fields, and each field is the flag --name
+_COMMANDS = {
+    "decoherence": ("|F(t)| over a time grid", _decoherence_table, ("grid",)),
+    "gp": ("geometric phase over one quasi-cycle", _gp_table,
+           ("mode", "theta0_grid", "gamma_grid", "lambda_grid")),
+    "mc": ("Monte Carlo curve vs analytic", _mc_table,
+           ("n_modes", "n_trajectories", "dt", "horizon")),
+    "pdist": ("phase distribution snapshots", _pdist_table, ("times", "nx")),
+}
+_SHARED = ("gamma", "cutoff", "diffusion", "phase_lambda", "ohmicity", "theta0",
+           "profile", "seed")
+# argparse reads each kind of flag into the form a config file holds
+_FLAG_TYPES = {"float": float, "int": int, "str": str,
+               "grid": lambda text: text.split(":"),
+               "tuple": lambda text: [p for p in text.split(",") if p.strip()]}
+_HELP = {"grid": "time grid start:stop:step",
+         "theta0_grid": "initial-state grid start:stop:step",
+         "gamma_grid": "coupling grid start:stop:step",
+         "lambda_grid": "delay grid start:stop:step",
+         "times": "comma-separated snapshot times (t > 0)",
+         "nx": "grid points across [-pi, pi]"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -464,49 +439,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decoherence", help="|F(t)| over a time grid")
-    _add_common(p)
-    p.add_argument("--grid", help="time grid start:stop:step")
-    p.add_argument("--dip", action="store_true",
-                   help="append a dip report for the curve")
-    p.add_argument("--method", choices=["closed-form", "quadrature"],
-                   help="force the evaluation route")
-    p.add_argument("--tol", type=float,
-                   help="absolute quadrature tolerance (default 1e-10)")
-    p.set_defaults(func=cmd_table, table=_decoherence_table)
-
-    p = sub.add_parser("gp", help="geometric phase over one quasi-cycle")
-    _add_common(p)
-    p.add_argument("--mode", choices=["point", "surface", "lambda", "gamma"])
-    p.add_argument("--theta0-grid", dest="theta0_grid",
-                   help="initial-state grid start:stop:step")
-    p.add_argument("--gamma-grid", dest="gamma_grid",
-                   help="coupling grid start:stop:step")
-    p.add_argument("--lambda-grid", dest="lambda_grid",
-                   help="delay grid start:stop:step")
-    p.set_defaults(func=cmd_table, table=_gp_table)
-
-    p = sub.add_parser("mc", help="Monte Carlo curve vs analytic")
-    _add_common(p)
-    p.add_argument("--n-modes", type=int, dest="n_modes")
-    p.add_argument("--n-trajectories", type=int, dest="n_trajectories")
-    p.add_argument("--dt", type=float)
-    p.add_argument("--horizon", type=float)
-    p.set_defaults(func=cmd_table, table=_mc_table)
-
-    p = sub.add_parser("pdist", help="phase distribution snapshots")
-    _add_common(p)
-    p.add_argument("--times", help="comma-separated snapshot times (t > 0)")
-    p.add_argument("--nx", type=int, help="grid points across [-pi, pi]")
-    p.set_defaults(func=cmd_table, table=_pdist_table)
+    for command, (text, table, own) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--out", help="output path ('-' or omitted: stdout)")
+        p.add_argument("--json", action="store_true",
+                       help="emit a JSON document instead of CSV")
+        for name in _SHARED + own:
+            p.add_argument("--" + name.replace("_", "-"),
+                           type=_FLAG_TYPES[_KINDS[name]],
+                           choices=_CHOICES.get(name), help=_HELP.get(name))
+        if command == "decoherence":
+            p.add_argument("--dip", action="store_true",
+                           help="append a dip report for the curve")
+            p.add_argument("--method", choices=["closed-form", "quadrature"],
+                           help="force the evaluation route")
+            p.add_argument("--tol", type=float,
+                           help="absolute quadrature tolerance (default 1e-10)")
+        p.set_defaults(func=cmd_table, table=table)
 
     p = sub.add_parser("reproduce-figure",
                        help="write the data behind one standard figure")
     p.add_argument("number", type=int, help="figure number, 1..7")
     p.add_argument("--out-dir", default="figures", dest="out_dir")
-    p.set_defaults(func=cmd_reproduce_figure)
-
+    p.set_defaults(func=cmd_reproduce_figure, parser=parser)
     return parser
 
 

@@ -99,7 +99,7 @@ def _theta0_of(state):
 
 
 def bloch_angle(factor, state):
-    """(cos theta_+, sin theta_+) of the + eigenvector's half-angle.
+    """cos theta_+, the cosine of the + eigenvector's half-angle.
 
     The density matrix has Bloch vector (sin(theta0) F, 0, cos(theta0)),
     so theta_+ = atan2(sin(theta0) F, cos(theta0)) / 2, with no 0/0 at
@@ -110,9 +110,7 @@ def bloch_angle(factor, state):
     f = np.asarray(factor, dtype=float)
     if np.any(f < 0) or np.any(f > 1):
         raise ValueError("decoherence factor must lie in [0, 1]")
-    # + 0.0 turns F = -0.0 into +0.0, which atan2 would send to -pi below the equator
-    half = 0.5 * np.arctan2(np.sin(theta0) * f + 0.0, np.cos(theta0))
-    return np.cos(half), np.sin(half)
+    return np.cos(0.5 * np.arctan2(np.sin(theta0) * f, np.cos(theta0)))
 
 
 def unitary_phase(state):
@@ -148,7 +146,7 @@ def _cycle_corrections(config: BathConfig, theta0s, gammas, tol: float):
         def integrand(ts):
             with np.errstate(over="ignore"):  # gamma beta past the largest double: F = 0
                 factor = np.exp(-gamma * beta_values(ts, unit, 1e-12 / gamma.max())[0])
-            return bloch_angle(factor, theta0)[0] ** 2 - np.cos(0.5 * theta0) ** 2
+            return bloch_angle(factor, theta0) ** 2 - np.cos(0.5 * theta0) ** 2
 
         res = integrate_finite(integrand, 0.0, 2.0 * math.pi, tol=tol)
         if not res.converged:

@@ -1,5 +1,6 @@
 """Command-line battery: formats, round-tripping, exit codes, figures."""
 
+import argparse
 import csv
 import json
 import math
@@ -17,6 +18,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import neqbath
 from neqbath.bath import BathConfig
+from neqbath import cli
 from neqbath.cli import RunConfig, build_parser, build_run_config, grid_array, main
 from neqbath.dephasing import decoherence_factor
 from neqbath.geomphase import geometric_phase
@@ -210,6 +212,49 @@ class TestConfigHandling:
 
     def test_missing_config_file_exits_2(self):
         assert run_cli(["decoherence", "--config", "/nonexistent.json"]) == 2
+
+    @pytest.mark.parametrize("argv", [["--grid", "abc"], ["--grid", "0:1"],
+                                      ["--config", "{grid_file}"]])
+    def test_grid_errors_name_the_form(self, argv, tmp_path, capsys):
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps({"grid": "0:1:0.5"}))
+        argv = [a.format(grid_file=grid_file) for a in argv]
+        assert run_cli(["decoherence", *argv]) == 2
+        assert "start:stop:step" in capsys.readouterr().err
+
+    def test_times_error_names_the_entry(self, capsys):
+        assert run_cli(["pdist", "--times", "a,1"]) == 2
+        assert "times entry must be a number, got 'a'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["decoherence", "gp", "pdist"])
+    def test_file_mode_outside_the_choices_exits_2(self, command, tmp_path, capsys):
+        # checked against the flag's choices whether or not the subcommand reads it
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({"mode": "x"}))
+        assert run_cli([command, "--config", str(cfgfile)]) == 2
+        assert "mode must be one of" in capsys.readouterr().err
+
+
+# each subcommand's option strings, in --help order; the table subcommands'
+# run-parameter flags are built from the RunConfig fields
+SHARED_OPTIONS = ["-h", "--help", "--config", "--out", "--json", "--gamma", "--cutoff",
+                  "--diffusion", "--phase-lambda", "--ohmicity", "--theta0",
+                  "--profile", "--seed"]
+OPTIONS = {
+    "decoherence": SHARED_OPTIONS + ["--grid", "--dip", "--method", "--tol"],
+    "gp": SHARED_OPTIONS + ["--mode", "--theta0-grid", "--gamma-grid", "--lambda-grid"],
+    "mc": SHARED_OPTIONS + ["--n-modes", "--n-trajectories", "--dt", "--horizon"],
+    "pdist": SHARED_OPTIONS + ["--times", "--nx"],
+    "reproduce-figure": ["-h", "--help", "--out-dir"],
+}
+
+
+def test_each_subcommand_keeps_its_flags():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(OPTIONS)
+    for command, parser in sub.choices.items():
+        assert [s for a in parser._actions for s in a.option_strings] == OPTIONS[command]
 
 
 # every RunConfig field with a flag: (subcommand, flag, config-file value,
@@ -524,20 +569,33 @@ class TestReproduceFigure:
         assert run_cli(["reproduce-figure", "9"]) == 2
 
 
-class TestFiguresShareSubcommands:
-    """Each figure is a canned run of the subcommand that makes its table."""
+FIGURE_CSVS = [(number, name, argv) for number, (_, jobs) in sorted(cli._FIGURES.items())
+               for name, argv in jobs]
 
-    @pytest.mark.parametrize("number,name,argv", [
-        (4, "fig4_surface", ["--mode", "surface", "--gamma-grid", "0:2:0.1"]),
-        (7, "fig7_lambda", ["--mode", "lambda", "--gamma", "3", "--theta0-grid",
-                            f"{math.pi / 8!r}:{3 * math.pi / 8!r}:{math.pi / 8!r}"]),
-    ])
-    def test_figure_csv_is_the_gp_output(self, number, name, argv, tmp_path):
-        assert run_cli(["reproduce-figure", str(number),
-                        "--out-dir", str(tmp_path)]) == 0
-        out = tmp_path / "gp.csv"
-        assert run_cli(["gp", *argv, "--out", str(out)]) == 0
-        assert out.read_bytes() == (tmp_path / f"{name}.csv").read_bytes()
+
+@pytest.fixture(scope="module")
+def figure_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("figures")
+    for number in cli._FIGURES:
+        assert run_cli(["reproduce-figure", str(number), "--out-dir", str(out)]) == 0
+    return out
+
+
+class TestFiguresShareSubcommands:
+    """Each figure CSV is its subcommand's output, without the comment
+    lines except in figure 7."""
+
+    @pytest.mark.parametrize("number,name,argv", FIGURE_CSVS,
+                             ids=[name for _, name, _ in FIGURE_CSVS])
+    def test_figure_csv_is_the_subcommand_output(self, number, name, argv,
+                                                 figure_dir, tmp_path):
+        out = tmp_path / "run.csv"
+        assert run_cli(argv.split() + ["--out", str(out)]) == 0
+        lines = out.read_text().splitlines(keepends=True)
+        if name != "fig7_lambda":
+            lines = [line for line in lines if not line.startswith("# ")]
+        assert "".join(lines) == (figure_dir / f"{name}.csv").read_text()
+
 
 
 class TestEntryPoint:

@@ -53,31 +53,32 @@ class TestBlochAngle:
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(f=st.floats(0.0, 1.0), th=st.floats(0.0, math.pi))
     def test_unit_spinor(self, f, th):
-        c, s = bloch_angle(f, th)
-        assert abs(c * c + s * s - 1.0) < 1e-12
-        assert s >= -1e-15
+        # theta_+ lies in [0, pi/2], and cos(2 theta_+) is the Bloch vector's
+        # z component over its length
+        c = bloch_angle(f, th)
+        assert 0.0 <= c <= 1.0
+        r = math.hypot(math.sin(th) * f, math.cos(th))
+        assert abs(2.0 * c * c - 1.0 - math.cos(th) / r) < 1e-12
 
     def test_pure_state_reduces_to_half_angle(self):
         for th in np.linspace(0.0, math.pi, 17):
-            c, s = bloch_angle(1.0, float(th))
+            c = bloch_angle(1.0, float(th))
             assert c == pytest.approx(math.cos(th / 2.0), abs=1e-12)
-            assert s == pytest.approx(math.sin(th / 2.0), abs=1e-12)
 
     def test_poles(self):
-        assert bloch_angle(0.7, 0.0) == (1.0, 0.0)
-        c, s = bloch_angle(0.7, math.pi)
-        assert (c, s) == pytest.approx((0.0, 1.0), abs=1e-15)
+        assert bloch_angle(0.7, 0.0) == 1.0
+        assert bloch_angle(0.7, math.pi) == pytest.approx(0.0, abs=1e-15)
 
     def test_fully_dephased_branches(self):
-        # eigenvector snaps to +z above the equator, to -z-ish (sin
-        # branch) below; float cos(pi/2) = 6e-17 > 0, so the nominal
-        # equator also resolves to +z
-        assert bloch_angle(0.0, math.pi / 3.0) == (1.0, 0.0)
-        for zero in (0.0, -0.0):
-            # sin(theta0) * -0.0 is -0.0, which a bare atan2 takes to -pi
-            c, s = bloch_angle(zero, 2.0 * math.pi / 3.0)
-            assert s == 1.0 and c == pytest.approx(0.0, abs=1e-15)
-        assert bloch_angle(0.0, math.pi / 2.0) == (1.0, 0.0)
+        # eigenvector snaps to +z above the equator, to -z below; float
+        # cos(pi/2) = 6e-17 > 0, so the nominal equator also resolves to +z
+        assert bloch_angle(0.0, math.pi / 3.0) == 1.0
+        below = bloch_angle(0.0, 2.0 * math.pi / 3.0)
+        assert below == pytest.approx(0.0, abs=1e-15)
+        # sin(theta0) * -0.0 is -0.0, which atan2 takes to -pi: the
+        # half-angle -pi/2 has the same cosine, bit for bit
+        assert bloch_angle(-0.0, 2.0 * math.pi / 3.0) == below
+        assert bloch_angle(0.0, math.pi / 2.0) == 1.0
 
     def test_domain_errors(self):
         for bad in (1.2, -0.01):
@@ -85,19 +86,16 @@ class TestBlochAngle:
                 bloch_angle(bad, 0.5)
 
     def test_continuous_at_vanishing_factor(self):
-        c, s = bloch_angle(1e-12, math.pi / 3.0)
-        assert c == pytest.approx(1.0, abs=1e-9)
-        c, s = bloch_angle(1e-12, 2.0 * math.pi / 3.0)
-        assert s == pytest.approx(1.0, abs=1e-9)
+        assert bloch_angle(1e-12, math.pi / 3.0) == pytest.approx(1.0, abs=1e-9)
+        assert bloch_angle(1e-12, 2.0 * math.pi / 3.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_array_of_states_is_bitwise_the_scalar_calls(self):
         th = np.array([0.0, 1e-300, 0.4, math.pi / 2.0, 2.0, math.pi - 1e-8, math.pi])
         f = np.array([[0.0], [1e-12], [0.3], [1.0 - 1e-15], [1.0]])
-        c, s = bloch_angle(f, th)
-        assert c.shape == s.shape == (len(f), len(th))
+        c = bloch_angle(f, th)
+        assert c.shape == (len(f), len(th))
         for j, t0 in enumerate(th):
-            cj, sj = bloch_angle(f[:, 0], float(t0))
-            assert np.array_equal(c[:, j], cj) and np.array_equal(s[:, j], sj)
+            assert np.array_equal(c[:, j], bloch_angle(f[:, 0], float(t0)))
 
     def test_against_eigenvector_at_40_digits(self):
         # the + eigenvector of the density matrix, from mpmath's symmetric
@@ -107,7 +105,7 @@ class TestBlochAngle:
         ths = [0.0, 1e-300, math.pi / 2.0, math.pi - 1e-8, math.pi,
                *rng.uniform(0.0, math.pi, 3)]
         fs = [0.0, 1e-12, 1.0 - 1e-15, 1.0, *rng.uniform(0.0, 1.0, 3)]
-        c, s = bloch_angle(np.array(fs)[:, None], np.array(ths))
+        c = bloch_angle(np.array(fs)[:, None], np.array(ths))
         with mp.workdps(40):
             for j, t0 in enumerate(ths):
                 for i, f in enumerate(fs):
@@ -117,9 +115,8 @@ class TestBlochAngle:
                     vals, vecs = mp.eigsy(rho)
                     k = 0 if vals[0] > vals[1] else 1
                     # off >= 0: the + eigenvector has components of one sign
-                    want = (abs(vecs[0, k]), abs(vecs[1, k]))
-                    assert abs(c[i, j] - want[0]) <= 4 * np.finfo(float).eps, (t0, f)
-                    assert abs(s[i, j] - want[1]) <= 4 * np.finfo(float).eps, (t0, f)
+                    want = abs(vecs[0, k])
+                    assert abs(c[i, j] - want) <= 4 * np.finfo(float).eps, (t0, f)
 
 
 class TestGeometricPhase:
@@ -332,7 +329,7 @@ def per_point_delta(config, theta0, tol=1e-9):
     base = math.cos(0.5 * theta0) ** 2
 
     def integrand(ts):
-        cosp, _ = bloch_angle(np.exp(-beta_values(ts, config, 1e-12)[0]), theta0)
+        cosp = bloch_angle(np.exp(-beta_values(ts, config, 1e-12)[0]), theta0)
         return cosp * cosp - base
 
     res = integrate_finite(integrand, 0.0, 2.0 * math.pi, tol=tol)

@@ -1,16 +1,23 @@
-"""The Python examples in README.md run to completion against src/."""
+"""The Python examples in README.md run to completion against src/, and
+its CLI examples are commands the parser and the config route accept."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from neqbath import cli
+
 ROOT = Path(__file__).resolve().parents[1]
-BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
-                    re.MULTILINE | re.DOTALL)
+README = (ROOT / "README.md").read_text()
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README, re.MULTILINE | re.DOTALL)
+COMMANDS = [line for block in re.findall(r"^```sh\n(.*?)^```", README,
+                                         re.MULTILINE | re.DOTALL)
+            for line in block.splitlines() if line.startswith("neqbath ")]
 
 
 def test_readme_has_python_blocks():
@@ -23,3 +30,17 @@ def test_python_block_exits_0(code, tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_has_cli_examples():
+    assert len(COMMANDS) >= 5
+
+
+@pytest.mark.parametrize("line", COMMANDS)
+def test_cli_example_is_accepted(line):
+    # parsed and merged into a RunConfig, not run
+    args = cli.build_parser().parse_args(shlex.split(line)[1:])
+    if args.command == "reproduce-figure":
+        assert args.number in cli._FIGURES
+    else:
+        cli.build_run_config(args)
