@@ -45,7 +45,6 @@ from .geomphase import (
 from .montecarlo import (
     DiscretizedBath,
     EnsembleConfig,
-    PhaseTable,
     discretize_bath,
     endpoint_phase,
     mc_decoherence_factor,

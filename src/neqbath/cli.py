@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .bath import _PROFILE_KINDS, BathConfig, phase_distribution_eval
-from .dephasing import decoherence_factor, find_dip
+from .dephasing import METHOD_CLOSED, METHOD_QUADRATURE, decoherence_factor, find_dip
 from .geomphase import first_order_coefficient, gamma_comparison, \
     geometric_phase, gp_lambda_sweep, gp_surface
 from .montecarlo import EnsembleConfig, mc_decoherence_factor
@@ -127,6 +127,8 @@ def load_config_file(path: str) -> dict:
 def _value(name: str, kind: str, val):
     """A config-file or flag value checked and coerced by its field kind."""
     if kind == "grid":
+        if not isinstance(val, list):  # a string would unpack as characters
+            raise ConfigError(f"{name} must be a list start:stop:step, got {val!r}")
         return _check_grid(val)
     if kind == "tuple":  # times
         if not isinstance(val, (list, tuple)):
@@ -212,10 +214,11 @@ def write_table(out: Optional[str], table: _Table, json_mode: bool):
         fh.write("".join(f"# {c}\n" for c in table.comments))
 
 
-def _metadata(cfg: RunConfig, command: str, **extra) -> dict:
+def _metadata(cfg: RunConfig, command: str, *names: str) -> dict:
+    """The command, the version, the bath fields and the named RunConfig fields."""
     bath = ("gamma", "cutoff", "diffusion", "phase_lambda", "ohmicity", "profile")
     return {"command": command, "version": __version__,
-            **{name: getattr(cfg, name) for name in bath}, **extra}
+            **{name: getattr(cfg, name) for name in bath + names}}
 
 
 class _Table(NamedTuple):
@@ -235,13 +238,12 @@ class _Table(NamedTuple):
 # its subcommand, for the options that are not run parameters.
 def _decoherence_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
     """|F| on cfg.grid, with a dip report when args.dip is set."""
-    tol = args.tol if args.tol is not None else 1e-10
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ConfigError(f"tol must be finite and positive, got {tol}")
+    if not (args.tol > 0 and math.isfinite(args.tol)):
+        raise ConfigError(f"tol must be finite and positive, got {args.tol}")
     times = grid_array(cfg.grid)
     if times[0] < 0:
         raise ConfigError("time grid must start at t >= 0")
-    curve = decoherence_factor(times, cfg.bath_config(), tol=tol,
+    curve = decoherence_factor(times, cfg.bath_config(), tol=args.tol,
                                method=args.method)
     columns = {"t": curve.times, "F": curve.values, "err": curve.errors,
                "method": np.full(len(curve.times), curve.method)}
@@ -259,7 +261,7 @@ def _decoherence_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
             extra["dip"] = {"t": found.time, "F": found.value,
                             "prominence": found.prominence}
     return _Table(columns, comments,
-                  _metadata(cfg, "decoherence", grid=list(cfg.grid)), extra)
+                  _metadata(cfg, "decoherence", "grid"), extra)
 
 
 def _gp_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
@@ -270,8 +272,7 @@ def _gp_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
         res = geometric_phase(bath, th)
         columns = {"theta0": th, "phi_g": res.phi_g, "phi_u": res.phi_u,
                    "delta": res.delta, "err": res.tol}
-        return _Table(columns, [],
-                      _metadata(cfg, "gp", mode="point", theta0=cfg.theta0), {})
+        return _Table(columns, [], _metadata(cfg, "gp", "mode", "theta0"), {})
     if cfg.mode == "surface":
         th = grid_array(cfg.theta0_grid)
         ga = grid_array(cfg.gamma_grid)
@@ -281,9 +282,7 @@ def _gp_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
                    "delta_phi_norm": np.where(finite, ratio, np.nan),
                    "note": np.where(finite, "", "undefined-normalization")}
         return _Table(columns, [],
-                      _metadata(cfg, "gp", mode="surface",
-                                theta0_grid=list(cfg.theta0_grid),
-                                gamma_grid=list(cfg.gamma_grid)), {})
+                      _metadata(cfg, "gp", "mode", "theta0_grid", "gamma_grid"), {})
     if cfg.mode == "lambda":
         th = grid_array(cfg.theta0_grid)
         lams = grid_array(cfg.lambda_grid)
@@ -301,9 +300,7 @@ def _gp_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
                  "monotone": [bool(b) for b in sweep.monotone],
                  "max_increase": [float(v) for v in sweep.max_increase]}
         return _Table(columns, comments,
-                      _metadata(cfg, "gp", mode="lambda",
-                                theta0_grid=list(cfg.theta0_grid),
-                                lambda_grid=list(cfg.lambda_grid)), extra)
+                      _metadata(cfg, "gp", "mode", "theta0_grid", "lambda_grid"), extra)
     ga = grid_array(cfg.gamma_grid)
     exact, pred = gamma_comparison(bath, cfg.theta0, ga)
     coeff = first_order_coefficient(bath)
@@ -313,26 +310,22 @@ def _gp_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
         "phi_g_pred uses the paper's asymptotic coefficient"
     ]
     return _Table({"gamma": ga, "phi_g": exact, "phi_g_pred": pred}, comments,
-                  _metadata(cfg, "gp", mode="gamma", theta0=cfg.theta0,
-                            gamma_grid=list(cfg.gamma_grid)),
+                  _metadata(cfg, "gp", "mode", "theta0", "gamma_grid"),
                   {"first_order_coefficient": coeff})
 
 
 def _mc_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
     """The Monte Carlo curve beside the analytic one."""
     bath = cfg.bath_config()
-    ens = EnsembleConfig(n_modes=cfg.n_modes, n_trajectories=cfg.n_trajectories,
-                         seed=cfg.seed, dt=cfg.dt, horizon=cfg.horizon)
-    mc = mc_decoherence_factor(bath, ens)
+    run = ("seed", "n_modes", "n_trajectories", "dt", "horizon")
+    mc = mc_decoherence_factor(bath, EnsembleConfig(**{k: getattr(cfg, k) for k in run}))
     analytic = decoherence_factor(mc.times, bath)
     dev = mc.values - analytic.values
     max_dev = float(np.max(np.abs(dev)))
     return _Table({"t": mc.times, "F_mc": mc.values, "stderr": mc.errors,
                    "F_analytic": analytic.values, "dev": dev},
                   [f"max|F_mc - F_analytic| = {_fmt(max_dev)}"],
-                  _metadata(cfg, "mc", seed=cfg.seed, n_modes=cfg.n_modes,
-                            n_trajectories=cfg.n_trajectories, dt=cfg.dt,
-                            horizon=cfg.horizon),
+                  _metadata(cfg, "mc", *run),
                   {"max_abs_dev": max_dev})
 
 
@@ -347,7 +340,7 @@ def _pdist_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
                         for t in cfg.times])
     return _Table({"t": np.repeat(cfg.times, cfg.nx),
                    "x": np.tile(x, len(cfg.times)), "P": p}, [],
-                  _metadata(cfg, "pdist", times=list(cfg.times), nx=cfg.nx), {})
+                  _metadata(cfg, "pdist", "times", "nx"), {})
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -452,10 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
         if command == "decoherence":
             p.add_argument("--dip", action="store_true",
                            help="append a dip report for the curve")
-            p.add_argument("--method", choices=["closed-form", "quadrature"],
+            p.add_argument("--method", choices=[METHOD_CLOSED, METHOD_QUADRATURE],
                            help="force the evaluation route")
-            p.add_argument("--tol", type=float,
-                           help="absolute quadrature tolerance (default 1e-10)")
+            p.add_argument("--tol", type=float, default=1e-10,
+                           help="absolute quadrature tolerance (default %(default)s)")
         p.set_defaults(func=cmd_table, table=table)
 
     p = sub.add_parser("reproduce-figure",

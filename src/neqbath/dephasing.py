@@ -284,14 +284,13 @@ def find_dip(curve: DecoherenceCurve) -> Optional[DipReport]:
     return None.
     """
     v = curve.values
-    best = None
-    for i in range(1, len(v) - 1):
-        if not (v[i] < v[i - 1] and v[i] < v[i + 1]):
-            continue
-        prominence = min(v[: i + 1].max(), v[i:].max()) - v[i]
-        if prominence <= 2.0 * curve.errors[i]:
-            continue
-        if best is None or prominence > best.prominence:
-            best = DipReport(index=i, time=float(curve.times[i]),
-                             value=float(v[i]), prominence=float(prominence))
-    return best
+    i = np.flatnonzero((v[1:-1] < v[:-2]) & (v[1:-1] < v[2:])) + 1
+    # each flank's height, max(v[:i + 1]) and max(v[i:]), as a running maximum
+    flank = np.minimum(np.maximum.accumulate(v)[i], np.maximum.accumulate(v[::-1])[::-1][i])
+    prominence = flank - v[i]
+    keep = ~(prominence <= 2.0 * curve.errors[i])  # a NaN error does not reject
+    if not keep.any():
+        return None
+    k = np.argmax(np.where(keep, prominence, -np.inf))  # the first of the largest
+    return DipReport(index=int(i[k]), time=float(curve.times[i[k]]),
+                     value=float(v[i[k]]), prominence=float(prominence[k]))

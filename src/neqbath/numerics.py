@@ -98,6 +98,8 @@ def _eval_panels(f: Callable, a: np.ndarray, b: np.ndarray):
 
 
 def _adapt(f, a, b, tol):
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     k21, err = _eval_panels(f, a, b)
     while True:
         n = len(a)
@@ -143,8 +145,6 @@ def integrate_finite(
     """
     if not b > a:
         raise ValueError("integration interval must satisfy b > a")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     edges = np.linspace(a, b, 9)  # 8 equal initial panels
     return _adapt(f, edges[:-1], edges[1:], tol)
 
@@ -199,7 +199,5 @@ def integrate_semi_infinite(
     """
     if upper <= 0:
         raise ValueError("upper must be positive")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     edges = _initial_edges(upper, period_hint, chirp)
     return _adapt(f, edges[:-1], edges[1:], tol)

@@ -222,6 +222,18 @@ class TestConfigHandling:
         assert run_cli(["decoherence", *argv]) == 2
         assert "start:stop:step" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,doc", [
+        (["decoherence"], {"grid": "123"}),
+        (["gp", "--mode", "surface"], {"gamma_grid": "012"}),
+    ], ids=["grid", "gamma_grid"])
+    def test_file_grid_as_a_string_exits_2(self, argv, doc, tmp_path, capsys):
+        # formerly read as its characters: start 1, stop 2, step 3 ran t = 1 alone
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps(doc))
+        assert run_cli([*argv, "--config", str(cfgfile),
+                        "--out", str(tmp_path / "out.csv")]) == 2
+        assert "start:stop:step" in capsys.readouterr().err
+
     def test_times_error_names_the_entry(self, capsys):
         assert run_cli(["pdist", "--times", "a,1"]) == 2
         assert "times entry must be a number, got 'a'" in capsys.readouterr().err
@@ -491,8 +503,30 @@ class TestPdistCommand:
         assert [row[2] for row in inf_rows] == [1.0 / (2.0 * math.pi)] * 5
 
 
+BATH_METADATA = ["command", "version", "gamma", "cutoff", "diffusion", "phase_lambda",
+                 "ohmicity", "profile"]
+
+
 class TestTableOutput:
     """CSV and --json are written from one set of named columns."""
+
+    @pytest.mark.parametrize("argv,keys", [
+        (["decoherence", "--grid", "0:1:0.5"], ["grid"]),
+        (["gp"], ["mode", "theta0"]),
+        (["gp", "--mode", "surface", "--theta0-grid", "0:1:0.5", "--gamma-grid", "0:1:0.5"],
+         ["mode", "theta0_grid", "gamma_grid"]),
+        (["gp", "--mode", "lambda", "--theta0-grid", "0:1:0.5", "--lambda-grid", "0:1:0.5"],
+         ["mode", "theta0_grid", "lambda_grid"]),
+        (["gp", "--mode", "gamma", "--gamma-grid", "0:0.2:0.1"],
+         ["mode", "theta0", "gamma_grid"]),
+        (["mc", "--n-modes", "128", "--n-trajectories", "2", "--horizon", "0.5"],
+         ["seed", "n_modes", "n_trajectories", "dt", "horizon"]),
+        (["pdist", "--times", "1", "--nx", "5"], ["times", "nx"]),
+    ], ids=["decoherence", "gp-point", "gp-surface", "gp-lambda", "gp-gamma", "mc", "pdist"])
+    def test_json_metadata_keys_in_order(self, argv, keys, tmp_path):
+        out = tmp_path / "t.json"
+        assert run_cli([*argv, "--json", "--out", str(out)]) == 0
+        assert list(json.loads(out.read_text())["metadata"]) == BATH_METADATA + keys
 
     @pytest.mark.parametrize("argv", [
         ["decoherence", "--dip", "--grid", "0:3:0.1"],

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from neqbath import dephasing
 from neqbath.bath import BathConfig
@@ -530,6 +530,38 @@ class TestFindDip:
         prominent = [i for i in mins
                      if min(v[:i + 1].max(), v[i:].max()) - v[i] > 0.01]
         assert len(prominent) >= 2
+
+    @staticmethod
+    def brute_force_dip(curve):
+        """Every strict interior minimum scanned in order; the first of the largest wins."""
+        v, best = curve.values, None
+        for i in range(1, len(v) - 1):
+            if not (v[i] < v[i - 1] and v[i] < v[i + 1]):
+                continue
+            prominence = min(v[: i + 1].max(), v[i:].max()) - v[i]
+            if prominence <= 2.0 * curve.errors[i]:
+                continue
+            if best is None or prominence > best[1]:
+                best = (i, prominence)
+        return best
+
+    # small integer levels make ties and plateaus common; a NaN error
+    # (one MC trajectory) rejects nothing, an infinite one everything
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4),
+                              st.sampled_from([0.0, 0.2, 0.6, math.nan, math.inf])),
+                    max_size=24))
+    @example([(2, 0.0), (1, 0.0), (2, 0.0), (1, 0.0), (2, 0.0)])  # the first of equal dips
+    def test_matches_a_scan_of_every_minimum(self, points):
+        vals = np.array([v for v, _ in points], dtype=float)
+        errs = np.array([e for _, e in points], dtype=float)
+        curve = DecoherenceCurve(np.arange(len(vals), dtype=float), vals, errs, "test")
+        dip, want = find_dip(curve), self.brute_force_dip(curve)
+        if want is None:
+            assert dip is None
+        else:
+            assert (dip.index, dip.prominence) == want
+            assert (dip.time, dip.value) == (curve.times[want[0]], vals[want[0]])
 
 
 class TestCurveValidation:

@@ -147,7 +147,7 @@ class TestAccumulation:
         table = phase_table(bath, times)
         got = endpoint_phase(bath, paths, table)
         exact = c * (np.sin(w * times + th) - math.sin(th))
-        assert np.allclose(got, exact, rtol=0, atol=float32_bound([c], table.base))
+        assert np.allclose(got, exact, rtol=0, atol=float32_bound([c], table))
 
     def test_zero_couplings_give_zero_phase(self):
         bath = DiscretizedBath(omega=np.array([1.0]), coupling=np.array([0.0]),
@@ -194,7 +194,7 @@ class TestFloat32Reading:
                                    bath.theta0[r:r + _CHUNK])
             table = phase_table(part, times)
             got += endpoint_phase(part, paths[r:r + _CHUNK], table)
-            args.append(table.base + paths[r:r + _CHUNK])
+            args.append(table + paths[r:r + _CHUNK])
         arg = np.concatenate(args)
         # the float64 reading the float32 one replaced; sin(a + x) is
         # expanded so that x is not rounded at the scale of a = w t + th
@@ -218,7 +218,7 @@ class TestFloat32Reading:
             got = endpoint_phase(one, paths[k:k + 1], table)
             want = (np.sin(bath.omega[k] * times + bath.theta0[k] + paths[k])
                     - math.sin(bath.theta0[k]))
-            arg = np.abs(table.base[0] + paths[k])
+            arg = np.abs(table[0] + paths[k])
             assert np.all(np.abs(got - want) <= 2.0**-24 * (arg + 4.0))
 
 
@@ -243,6 +243,22 @@ class TestEnsembleConfig:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="omega_max"):
                 EnsembleConfig(n_modes=8, n_trajectories=2, seed=0, omega_max=bad)
+
+    # formerly a TypeError from inside the run (2.5, True as a size) or
+    # seed 1 (True); a numpy integer is an integer
+    @pytest.mark.parametrize("name,bad", [("n_modes", 2.5), ("n_modes", True),
+                                          ("n_trajectories", 2.5), ("n_trajectories", False),
+                                          ("seed", True), ("seed", 1.0)])
+    def test_sizes_and_seed_must_be_integers(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            EnsembleConfig(**{"n_modes": 8, "n_trajectories": 2, "seed": 0, name: bad})
+        assert EnsembleConfig(np.int64(8), np.int32(2), np.uint64(0)).n_modes == 8
+
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_discretize_bath_needs_an_integer_mode_count(self, bad):
+        # 2.5 formerly built 3 modes of width 20 / 2.5 = 8
+        with pytest.raises(ValueError, match="n_modes must be an integer"):
+            discretize_bath(CFG, bad, 20.0)
 
 
 class TestEnsembleRuns:

@@ -14,6 +14,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 RUNS = [
     ("dip_offset_scan.py", []),
+    ("output_hashes.py", []),
     ("perturbative_window.py", []),
     ("reproduce_all_figures.py", ["--only", "1", "--out-dir", "{tmp}"]),
 ]
