@@ -89,14 +89,13 @@ class DipReport:
 
 
 def beta_integrand(omega, t: float, config: BathConfig):
-    """Integrand of beta(t) as a function of frequency (vectorized)."""
+    """Oscillating part of beta(t)'s integrand, g(w) cos(2 (w t + theta(w))) with
+    g = I(w) (e^-2Dt - e^-4Dt) / 4 (vectorized over frequency).  The smooth part,
+    I(w) (1 - e^-2Dt) / 4, has the exact integral gamma n! (1 - e^-2Dt)."""
     w = np.asarray(omega, dtype=float)
-    density = SpectralDensity(config)
-    profile = PhaseProfile(config)
     e2 = math.exp(-2.0 * config.diffusion * t)
-    e4 = e2 * e2
-    bracket = (1.0 - e2) + (e2 - e4) * np.cos(2.0 * (w * t + profile(w)))
-    return 0.25 * density(w) * bracket
+    amp = 0.25 * (e2 - e2 * e2)
+    return (amp * SpectralDensity(config)(w)) * np.cos(2.0 * (w * t + PhaseProfile(config)(w)))
 
 
 def beta_closed(t, config: BathConfig):
@@ -175,6 +174,32 @@ def _tail_cutoff(n: int, log_target: float) -> float:
     return max(x, 1.0)
 
 
+def _log_tail(x: float, n: int, log_scale: float, r0: float, r1: float) -> float:
+    """log bound on |int_W^inf g cos phi dw|, x = W / cutoff, log_scale = log gamma a:
+    gamma a Gamma(n + 1, x), or where g falls (x >= n) and r = r0 + r1 x > 0 does
+    not (r1 >= 0), integration by parts' 2 g(W) / |phi'(W)| = gamma a x^n e^-x / r."""
+    log_gamma = log_scale + _log_upper_gamma(n, x)
+    if x < n or r0 + r1 * x <= 0.0:
+        return log_gamma
+    return min(log_gamma, log_scale + n * math.log(x) - x - math.log(r0 + r1 * x))
+
+
+def _osc_cutoff(n: int, log_target: float, r0: float, r1: float) -> float:
+    """Smallest x where _log_tail (log_scale 0) meets log_target: Newton from the
+    Gamma bound's cut-off to the root of the falling integration-by-parts
+    bound; a step past that bound's edge halves the distance to it instead."""
+    x = _tail_cutoff(n, log_target)
+    edge = max(float(n), -r0 / r1 if r1 > 0.0 else (0.0 if r0 > 0.0 else math.inf))
+    excess = lambda y: n * math.log(y) - y - math.log(r0 + r1 * y) - log_target
+    if x > edge and excess(x) < 0.0:
+        for _ in range(100):
+            last = x
+            x = max(x + excess(x) / (1.0 - n / x + r1 / (r0 + r1 * x)), 0.5 * (x + edge))
+            if abs(x - last) <= 1e-9 * last:
+                break
+    return x
+
+
 def beta_quadrature(t: float, config: BathConfig,
                     profile: Optional[PhaseProfile] = None,
                     tol: float = 1e-10,
@@ -182,12 +207,11 @@ def beta_quadrature(t: float, config: BathConfig,
     """beta(t) by adaptive quadrature over frequency, any profile and ohmicity.
 
     A profile, if given, replaces the config's profile kind and delay.
-    The bracket is at most 1 - exp(-4 D t), so the tail past W is at
-    most gamma Gamma(n + 1, W / cutoff) (1 - exp(-4 D t)).  Unless
-    omega_max fixes it, W is the smallest value (>= cutoff) that puts
-    this bound at a tenth of tol.  The error is the quadrature error
-    plus the bound; ConvergenceError, with the best estimate attached,
-    if it misses tol or the integrand overflows.
+    beta is gamma n! (1 - e^-2Dt), the smooth part's exact integral, plus
+    beta_integrand's integral over [0, W]; W, unless omega_max fixes it,
+    is the smallest cut-off whose tail bound (_log_tail) is tol / 10.  The
+    error is the quadrature error plus that bound; ConvergenceError, with
+    the best estimate attached, if it misses tol or the integrand overflows.
     """
     if profile is not None:
         config = dataclasses.replace(config, phase_profile=profile.kind,
@@ -196,15 +220,20 @@ def beta_quadrature(t: float, config: BathConfig,
         raise ValueError("t must be >= 0")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if config.gamma == 0.0 or config.diffusion * t == 0.0:
-        # the integrand vanishes identically
-        return QuadratureResult(value=0.0, error=0.0, subdivisions=0, converged=True)
-    n = config.ohmicity
-    log_scale = math.log(config.gamma) + math.log(-math.expm1(-4.0 * config.diffusion * t))
+    n, cut, lam = config.ohmicity, config.cutoff, config.phase_lambda
+    e2 = math.exp(-2.0 * config.diffusion * t)  # plain 1 - e2: no rounding term is charged
+    smooth = config.gamma * (math.factorial(n) * (1.0 - e2))
+    amp = e2 - e2 * e2
+    if config.gamma == 0.0 or amp == 0.0:  # e^-2Dt is 1 or 0: no oscillating part
+        return QuadratureResult(value=smooth, error=0.0, subdivisions=0, converged=True)
+    log_scale = math.log(config.gamma) + math.log(amp)
+    # r = cutoff |phi'(W)| / 2 = cutoff |t + theta'(W)| = r0 + r1 W / cutoff
+    r0, r1 = (cut * abs(t - lam), 0.0) if config.phase_profile == "linear" \
+        else (-cut * t, 2.0 * lam * cut * cut)
     if omega_max is None:
         log_target = math.log(_TAIL_SHARE) + math.log(tol) - log_scale
-        omega_max = config.cutoff * _tail_cutoff(n, log_target)
-    tail = math.exp(log_scale + _log_upper_gamma(n, omega_max / config.cutoff))
+        omega_max = cut * _osc_cutoff(n, log_target, r0, r1)
+    tail = math.exp(_log_tail(omega_max / cut, n, log_scale, r0, r1))
     hint, chirp = _oscillation_controls(t, config)
     try:
         res = integrate_semi_infinite(
@@ -213,7 +242,8 @@ def beta_quadrature(t: float, config: BathConfig,
     except ValueError as exc:  # the integrand overflowed
         raise ConvergenceError(f"beta({t}) quadrature failed: {exc}") from exc
     error = res.error + tail
-    res = dataclasses.replace(res, error=error, converged=error <= tol)
+    res = QuadratureResult(value=smooth + res.value, error=error,
+                           subdivisions=res.subdivisions, converged=error <= tol)
     if not res.converged:
         raise ConvergenceError(
             f"beta({t}) quadrature stalled at error {res.error:.3e} "

@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .bath import BathConfig, PhaseProfile, SpectralDensity
-from .dephasing import DecoherenceCurve, METHOD_MC
+from .dephasing import DecoherenceCurve, METHOD_MC, _log_upper_gamma
 
 __all__ = [
     "DiscretizedBath",
@@ -120,10 +120,14 @@ def discretize_bath(config: BathConfig, n_modes: int,
         covered = float(np.sum(coupling**2))  # midpoint rule
         rel = abs(covered - total) / total
         if rel > 0.01:
+            band = math.exp(_log_upper_gamma(config.ohmicity, omega_max / config.cutoff)
+                            - math.lgamma(config.ohmicity + 1))
+            advice = (f"{band:.1%} of it lies past omega_max = {omega_max:.6g}, out of reach of "
+                      "any mode count: widen EnsembleConfig(omega_max=...)" if band > 0.01
+                      else "increase n_modes or omega_max")
             warnings.warn(
                 f"discretized modes carry {covered:.6g} of "
-                f"{total:.6g} spectral weight (off by {rel:.1%}); increase "
-                "n_modes or omega_max",
+                f"{total:.6g} spectral weight (off by {rel:.1%}); {advice}",
                 stacklevel=2,
             )
     return DiscretizedBath(omega=w, coupling=coupling, theta0=theta0)

@@ -86,14 +86,15 @@ def _eval_panels(f: Callable, a: np.ndarray, b: np.ndarray):
     pts = c[:, None] + h[:, None] * _NODES[None, :]
     vals = np.asarray(f(pts.ravel()), dtype=float)
     vals = vals.reshape(vals.shape[:-1] + pts.shape)
-    k21 = h * (vals @ _WK_FULL)
+    with np.errstate(invalid="ignore"):  # inf - inf is reported below
+        k21 = h * (vals @ _WK_FULL)
+        g10 = h * (vals[..., 1::2] @ _WG_FULL)
     # a non-finite node makes its panel's sum non-finite: scan vals only then
     if not np.isfinite(k21).all():
         bad = ~np.isfinite(vals).reshape(-1, pts.size).all(axis=0)
         if bad.any():
             x = float(pts.ravel()[np.argmax(bad)])  # the first bad node
             raise ValueError(f"integrand returned a non-finite value at x = {x!r}")
-    g10 = h * (vals[..., 1::2] @ _WG_FULL)
     return k21, np.abs(k21 - g10)
 
 
@@ -101,9 +102,11 @@ def _adapt(f, a, b, tol):
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     k21, err = _eval_panels(f, a, b)
+    vector = err.ndim > 1
     while True:
         n = len(a)
-        if np.all(err.sum(axis=-1) <= tol) or n >= _MAX_PANELS:
+        if (np.all(err.sum(axis=-1) <= tol) if vector else float(err.sum()) <= tol) \
+                or n >= _MAX_PANELS:
             break
         # split every panel above its fair share of the budget in any component,
         # or NaN (overflowed sums): while a sum exceeds tol, some panel does
@@ -121,14 +124,11 @@ def _adapt(f, a, b, tol):
         b = np.concatenate([b[keep], new_b])
         k21 = np.concatenate([k21[..., keep], new_k], axis=-1)
         err = np.concatenate([err[..., keep], new_e], axis=-1)
-    value, total_err = (k21.sum(axis=-1), err.sum(axis=-1)) if err.ndim > 1 \
-        else (float(k21.sum()), float(err.sum()))
-    return QuadratureResult(
-        value=value,
-        error=total_err,
-        subdivisions=len(a),
-        converged=bool(np.all(total_err <= tol)),
-    )
+    if vector:
+        total_err = err.sum(axis=-1)
+        return QuadratureResult(k21.sum(axis=-1), total_err, len(a), bool(np.all(total_err <= tol)))
+    total_err = float(err.sum())
+    return QuadratureResult(float(k21.sum()), total_err, len(a), total_err <= tol)
 
 
 def integrate_finite(

@@ -174,10 +174,10 @@ class TestClosedFormError:
 
 class TestIntegrand:
     def test_spot_value_ohmic(self):
-        # at w = t = lam = cutoff = 1 the cosine argument vanishes:
-        # 1/4 * 4 gamma e^-1 * (1 - e^(-4 D))
+        # at w = t = lam = cutoff = 1 the cosine argument vanishes, and the
+        # oscillating part is 1/4 * 4 gamma e^-1 * (e^(-2 D) - e^(-4 D))
         c = cfg(FIG2)
-        expected = c.gamma * math.exp(-1.0) * (1.0 - math.exp(-0.4))
+        expected = c.gamma * math.exp(-1.0) * (math.exp(-0.2) - math.exp(-0.4))
         assert beta_integrand(1.0, 1.0, c) == pytest.approx(expected, rel=1e-14)
 
     def test_vanishes_at_zero_frequency(self):
@@ -334,9 +334,12 @@ class TestTruncatedQuadrature:
         with pytest.raises(ConvergenceError) as exc_info:
             beta_quadrature(2.0, cfg(FIG3), omega_max=5.0)
         res = exc_info.value.result
-        scale = math.log(3.0) + math.log(-math.expm1(-0.8))
-        tail = math.exp(scale + _log_upper_gamma(1, 5.0))
-        assert res.error >= tail > 1e-2
+        # the oscillating part's tail: 2 g(W) / |phi'(W)| with |phi'(W)| =
+        # 2 (2 lam W - t) = 16 is below gamma a Gamma(2, 5), a = e^-0.4 - e^-0.8
+        a = math.exp(-0.4) - math.exp(-0.8)
+        tail = 3.0 * a * 5.0 * math.exp(-5.0) / 8.0
+        assert tail < 3.0 * a * math.exp(_log_upper_gamma(1, 5.0))
+        assert res.error >= tail > 2e-3
         res = beta_quadrature(2.0, cfg(FIG3), omega_max=60.0)
         assert res.converged
 
@@ -417,8 +420,10 @@ class TestQuadraticReference:
         self.assert_within_error([(t, beta_quadrature(t, c)) for t in ts], c)
 
     def test_figure3_point_budget(self, monkeypatch):
-        # three local periods per initial panel, split only where G10 and K21
-        # disagree: 3.58 M points (6.44 M with one period and G7/K15)
+        # the oscillating part alone, cut by its integration-by-parts tail
+        # bound, three local periods per initial panel, split only where G10
+        # and K21 disagree: 2.69 M points (3.58 M for the whole bracket cut
+        # by its Gamma bound; 6.44 M with one period and G7/K15)
         points = []
         integrand = dephasing.beta_integrand
         monkeypatch.setattr(dephasing, "beta_integrand", lambda w, t, c: (
@@ -426,7 +431,93 @@ class TestQuadraticReference:
         for n in (1, 3):
             for t in grid_array((0.0, 10.0, 0.02)):
                 beta_quadrature(float(t), cfg(FIG3, ohmicity=n))
-        assert sum(points) <= 4_000_000
+        assert sum(points) <= 2_800_000
+
+
+class TestTailBound:
+    """The tail bound beta_quadrature charges past its cut-off W covers the
+    oscillating part's true tail: its integral over [W, W + 60 cutoff] at
+    40 digits, plus the Gamma bound past that."""
+
+    @staticmethod
+    def oscillating_integral(c, t, x_lo, x_hi):
+        """gamma a int cos(phi) x^n e^-x dx over [x_lo, x_hi], x = w / cutoff.
+
+        With A = 2i lam cutoff^2 (0 on the linear profile) and
+        B = 1 - 2i cutoff (t - lam) (linear) or 1 - 2i cutoff t
+        (quadratic), J_k(X) = int_X^inf x^k exp(-A x^2 - B x) dx is
+        Gamma(k + 1, B X) / B^(k + 1) for A = 0, and otherwise
+        J_0 = sqrt(pi) / (2 sqrt A) exp(B^2 / 4A) erfc(sqrt A X + B / (2 sqrt A)),
+        2A J_{k+1} = k J_{k-1} - B J_k + X^k exp(-A X^2 - B X).
+        """
+        import mpmath as mp
+        with mp.workdps(40):
+            n = c.ohmicity
+            quadratic = c.phase_profile == "quadratic"
+            a = 2j * c.phase_lambda * c.cutoff ** 2 if quadratic else 0
+            b = 1 - 2j * c.cutoff * (t if quadratic else t - c.phase_lambda)
+            a, b = mp.mpc(a), mp.mpc(b)
+
+            def j_n(x):
+                x = mp.mpf(x)
+                if not quadratic:
+                    return mp.gammainc(n + 1, b * x) / b ** (n + 1)
+                root = mp.sqrt(a)
+                edge = mp.exp(-a * x * x - b * x)
+                j = [mp.sqrt(mp.pi) / (2 * root) * mp.exp(b * b / (4 * a))
+                     * mp.erfc(root * x + b / (2 * root))]
+                j.append((edge - b * j[0]) / (2 * a))
+                for k in range(1, n):
+                    j.append((k * j[k - 1] - b * j[k] + x ** k * edge) / (2 * a))
+                return j[n]
+
+            d = mp.mpf(c.diffusion) * t
+            amp = mp.exp(-2 * d) - mp.exp(-4 * d)
+            return float(c.gamma * amp * mp.re(j_n(x_lo) - j_n(x_hi))), float(
+                c.gamma * amp * mp.gammainc(n + 1, x_hi))
+
+    def charged(self, monkeypatch, t, c, tol):
+        """(W / cutoff, the tail bound charged, the Gamma bound at W)."""
+        seen = []
+        inner = dephasing.integrate_semi_infinite
+        monkeypatch.setattr(dephasing, "integrate_semi_infinite", lambda f, upper, **kw: (
+            seen.append((upper, inner(f, upper, **kw))) or seen[-1][1]))
+        res = beta_quadrature(t, c, tol=tol)
+        (upper, quad), = seen
+        x = upper / c.cutoff
+        a = math.exp(-2.0 * c.diffusion * t) - math.exp(-4.0 * c.diffusion * t)
+        gamma_bound = c.gamma * a * math.exp(_log_upper_gamma(c.ohmicity, x))
+        return x, res.error - quad.error, gamma_bound
+
+    def assert_covered(self, monkeypatch, t, c, tol):
+        x, charged, gamma_bound = self.charged(monkeypatch, t, c, tol)
+        near, far = self.oscillating_integral(c, t, x, x + 60.0)
+        # the integration-by-parts bound is the one charged, and it holds
+        assert charged < gamma_bound
+        assert abs(near) + far <= charged, (t, near, far, charged)
+
+    @pytest.mark.parametrize("params,phase", [
+        (FIG3, lambda x: 2 * (x * 2 - x * x)),  # t = 2, lam = cutoff = 1
+        (FIG2, lambda x: 2 * x * (2 - 1)),
+    ])
+    def test_the_closed_form_matches_mpmath_quadrature(self, params, phase):
+        import mpmath as mp
+        c = cfg(params, ohmicity=3)
+        near, _ = self.oscillating_integral(c, 2.0, 4.0, 7.0)
+        d = 2.0 * c.diffusion * 2.0  # 2 D t
+        with mp.workdps(30):
+            want = c.gamma * (math.exp(-d) - math.exp(-2.0 * d)) * mp.quad(
+                lambda x: x ** 3 * mp.exp(-x) * mp.cos(phase(x)), mp.linspace(4, 7, 31))
+        assert near == pytest.approx(float(want), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("t", [0.5, 2.0, 5.0, 10.0])
+    def test_figure3_tail_is_covered(self, monkeypatch, n, t):
+        self.assert_covered(monkeypatch, t, cfg(FIG3, ohmicity=n), 1e-10)
+
+    def test_linear_quadrature_tail_is_covered(self, monkeypatch):
+        # decoherence --method quadrature --tol 1e-8 at t = 2, the CLI defaults
+        self.assert_covered(monkeypatch, 2.0, cfg(FIG2), 1e-8)
 
 
 class TestDispatch:

@@ -54,6 +54,16 @@ class TestDiscretize:
         with pytest.warns(UserWarning, match="spectral weight"):
             discretize_bath(replace(CFG, gamma=0.5), 4, 60.0)
 
+    def test_short_band_names_its_tail_not_the_mode_count(self):
+        # at n = 10 the band [0, 20 cutoff] misses Gamma(11, 20) / 10! = 1.08 %
+        # of the weight, however many modes share it
+        with pytest.warns(UserWarning, match="spectral weight") as record:
+            discretize_bath(replace(CFG, ohmicity=10), 4096, 20.0)
+        message = str(record[0].message)
+        assert "1.1% of it lies past omega_max = 20" in message
+        assert "EnsembleConfig(omega_max=...)" in message
+        assert "n_modes" not in message
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             discretize_bath(CFG, 0, 20.0)
