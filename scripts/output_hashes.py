@@ -7,9 +7,12 @@ mode, both evaluation routes, the dip report, a non-finite snapshot
 time), and the `--help` text of the parser and of each subcommand.  All
 runs go in-process through `neqbath.cli.main`, in a temporary directory.
 Run it on two trees and diff the maps: equal maps mean byte-identical
-outputs.
+outputs.  The map has one entry per line in a fixed order, so `diff`
+names each entry that changed, is missing or is new, and exits 1 if
+there is any.
 
     PYTHONPATH=src python3 scripts/output_hashes.py > hashes.json
+    diff hashes.json <(PYTHONPATH=src python3 scripts/output_hashes.py)
 """
 
 import contextlib

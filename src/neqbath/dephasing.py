@@ -46,10 +46,6 @@ METHOD_CLOSED = "closed-form"
 METHOD_QUADRATURE = "quadrature"
 METHOD_MC = "monte-carlo"
 
-# below this, the oscillatory term in the bracket cannot affect results
-# at the tolerances used anywhere in the package
-_OSC_AMP_FLOOR = 1e-14
-
 # share of the tolerance left to the truncated frequency tail
 _TAIL_SHARE = 0.1
 
@@ -128,23 +124,6 @@ def beta_closed(t, config: BathConfig):
                                * (1.0 + (1.0 - a) * q))
 
 
-def _oscillation_controls(t: float, config: BathConfig):
-    """(period_hint, chirp) for the frequency integral at time t.
-
-    The integrand oscillates as cos(2 (w t + theta(w))) with local rate
-    2 |t + theta'(w)|: constant 2 |t - lam| for linear profiles, at most
-    2 t + 4 lam w for quadratic ones, whose panels thus shrink with
-    frequency.
-    """
-    amp = math.exp(-2.0 * config.diffusion * t) - math.exp(-4.0 * config.diffusion * t)
-    if t <= 0 or amp < _OSC_AMP_FLOOR:
-        return None, 0.0
-    if config.phase_profile == "quadratic":
-        return math.pi / t, 4.0 * config.phase_lambda
-    rate = 2.0 * abs(t - config.phase_lambda)
-    return (2.0 * math.pi / rate if rate > 1e-12 else None), 0.0
-
-
 _LOG_FACTORIAL = [math.lgamma(k + 1) for k in range(_MAX_OHMICITY + 1)]  # log k!
 
 
@@ -212,33 +191,38 @@ def beta_quadrature(t: float, config: BathConfig,
     is the smallest cut-off whose tail bound (_log_tail) is tol / 10.  The
     error is the quadrature error plus that bound; ConvergenceError, with
     the best estimate attached, if it misses tol or the integrand overflows.
+    When the oscillating part's whole weight gamma a n! is at most tol / 10,
+    the smooth part is returned with that weight as its error.
     """
     if profile is not None:
         config = dataclasses.replace(config, phase_profile=profile.kind,
                                      phase_lambda=profile.lam)
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not t >= 0:
+        raise ValueError(f"t must be >= 0, got {t}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if omega_max is not None and not 0 < omega_max < math.inf:
+        raise ValueError(f"omega_max must be finite and positive, got {omega_max}")
     n, cut, lam = config.ohmicity, config.cutoff, config.phase_lambda
     e2 = math.exp(-2.0 * config.diffusion * t)  # plain 1 - e2: no rounding term is charged
     smooth = config.gamma * (math.factorial(n) * (1.0 - e2))
     amp = e2 - e2 * e2
-    if config.gamma == 0.0 or amp == 0.0:  # e^-2Dt is 1 or 0: no oscillating part
-        return QuadratureResult(value=smooth, error=0.0, subdivisions=0, converged=True)
+    whole = config.gamma * amp * math.factorial(n)  # the Gamma bound at W = 0
+    if whole <= _TAIL_SHARE * tol:
+        return QuadratureResult(value=smooth, error=whole, subdivisions=0, converged=True)
     log_scale = math.log(config.gamma) + math.log(amp)
-    # r = cutoff |phi'(W)| / 2 = cutoff |t + theta'(W)| = r0 + r1 W / cutoff
-    r0, r1 = (cut * abs(t - lam), 0.0) if config.phase_profile == "linear" \
-        else (-cut * t, 2.0 * lam * cut * cut)
+    # phi'(w) / 2 = t + theta'(w): |phi'| / 2 = s0 + s1 w wherever it does not
+    # fall, and |phi'| <= 2 |s0| + 2 s1 w everywhere
+    s0, s1 = (abs(t - lam), 0.0) if config.phase_profile == "linear" else (-t, 2.0 * lam)
+    r0, r1 = cut * s0, s1 * cut * cut  # r = cutoff |phi'(W)| / 2 = r0 + r1 W / cutoff
     if omega_max is None:
         log_target = math.log(_TAIL_SHARE) + math.log(tol) - log_scale
         omega_max = cut * _osc_cutoff(n, log_target, r0, r1)
     tail = math.exp(_log_tail(omega_max / cut, n, log_scale, r0, r1))
-    hint, chirp = _oscillation_controls(t, config)
     try:
         res = integrate_semi_infinite(
             lambda w: beta_integrand(w, t, config), upper=omega_max,
-            tol=(1.0 - _TAIL_SHARE) * tol, period_hint=hint, chirp=chirp)
+            tol=(1.0 - _TAIL_SHARE) * tol, rate=2.0 * abs(s0), chirp=2.0 * s1)
     except ValueError as exc:  # the integrand overflowed
         raise ConvergenceError(f"beta({t}) quadrature failed: {exc}") from exc
     error = res.error + tail
@@ -266,8 +250,8 @@ def beta_values(times, config: BathConfig, tol: float,
     ta = np.asarray(times, dtype=float)
     if ta.ndim != 1:
         raise ValueError("times must be a 1-D array")
-    if (ta < 0).any():  # cheaper than np.any; the GP calls this per panel batch
-        raise ValueError("times must be >= 0")
+    if not (ta >= 0).all():  # cheaper than np.all; the GP calls this per panel batch
+        raise ValueError(f"times must be >= 0, got {ta[~(ta >= 0)][0]}")
     if method is None:
         method = METHOD_CLOSED if config.phase_profile == "linear" else METHOD_QUADRATURE
     if method == METHOD_CLOSED:

@@ -143,37 +143,36 @@ def integrate_finite(
     shape (npts,) or (m, npts) for m integrands that each meet tol on
     one partition.  Never raises on non-convergence; inspect .converged.
     """
-    if not b > a:
-        raise ValueError("integration interval must satisfy b > a")
+    if not -math.inf < a < b < math.inf:
+        raise ValueError(f"integration interval must be finite with b > a, got [{a}, {b}]")
     edges = np.linspace(a, b, 9)  # 8 equal initial panels
     return _adapt(f, edges[:-1], edges[1:], tol)
 
 
-def _initial_edges(upper: float, period_hint: Optional[float], chirp: float) -> np.ndarray:
-    """Panel edges on [0, upper] for local angular frequency k0 + chirp w.
+def _initial_edges(upper: float, rate: float, chirp: float) -> np.ndarray:
+    """Panel edges on [0, upper] for local angular frequency rate + chirp w.
 
-    Every panel spans at most _PERIODS local periods, 2 pi _PERIODS / k(a)
-    at its left edge a: panels are w0 = min(upper / 64, _PERIODS
-    period_hint) wide while that cap exceeds w0; then 2 pi _PERIODS apart
-    in the phase k0 w + chirp w^2 / 2 while it exceeds the floor
-    upper / 8192; then floor-wide, which bounds their number.  _adapt
-    splits them where G10 and K21 disagree.
+    Every panel spans at most _PERIODS local periods, 2 pi _PERIODS /
+    (rate + chirp a) at its left edge a: panels are w0 = min(upper / 64,
+    2 pi _PERIODS / rate) wide while that cap exceeds w0 (64 equal panels
+    if rate = chirp = 0); then 2 pi _PERIODS apart in the phase rate w +
+    chirp w^2 / 2 while it exceeds the floor upper / 8192; then floor-wide,
+    which bounds their number.  _adapt splits them where G10 and K21 disagree.
     """
     floor = upper / _MAX_INITIAL_PANELS
     step = 2.0 * math.pi * _PERIODS  # phase across one panel
-    k0 = 2.0 * math.pi / period_hint if period_hint is not None and period_hint > 0 else 0.0
-    w0 = max(min(upper / 64.0, step / k0 if k0 else upper), floor)
+    w0 = max(min(upper / 64.0, step / rate if rate else upper), floor)
     a1 = a2 = upper
     if chirp > 0:
-        a1 = min(max((step / w0 - k0) / chirp, 0.0), upper)
-        a2 = min(max((step / floor - k0) / chirp, a1), upper)
-    p1 = a1 * (k0 + 0.5 * chirp * a1)
-    p2 = a2 * (k0 + 0.5 * chirp * a2)
+        a1 = min(max((step / w0 - rate) / chirp, 0.0), upper)
+        a2 = min(max((step / floor - rate) / chirp, a1), upper)
+    p1 = a1 * (rate + 0.5 * chirp * a1)
+    p2 = a2 * (rate + 0.5 * chirp * a2)
     phase = p1 + step * np.arange(math.ceil((p2 - p1) / step))
     edges = np.sort(np.concatenate([
         w0 * np.arange(math.ceil(a1 / w0)),
-        # root of chirp w^2 / 2 + k0 w = phase without cancellation
-        2.0 * phase / (k0 + np.sqrt(k0 * k0 + 2.0 * chirp * phase)),
+        # root of chirp w^2 / 2 + rate w = phase without cancellation
+        2.0 * phase / (rate + np.sqrt(rate * rate + 2.0 * chirp * phase)),
         a2 + floor * np.arange(math.ceil((upper - a2) / floor)),
         [upper],
     ]))
@@ -186,18 +185,18 @@ def integrate_semi_infinite(
     f: Callable,
     upper: float,
     tol: float = 1e-10,
-    period_hint: Optional[float] = None,
+    rate: float = 0.0,
     chirp: float = 0.0,
 ) -> QuadratureResult:
     """Integral of f over [0, upper], tuned for oscillatory tails.
 
-    upper: truncation point; the error covers [0, upper] only, so a
-        caller truncating an infinite range adds its own tail bound.
-    period_hint, chirp: f oscillates with period period_hint at 0 and its angular
-        frequency grows at rate chirp; initial panels span _PERIODS local periods.
+    upper: finite truncation point; the error covers [0, upper] only, so
+        a caller truncating an infinite range adds its own tail bound.
+    rate, chirp: f oscillates at angular frequency at most rate + chirp w;
+        initial panels span _PERIODS local periods (0, 0: not oscillatory).
     Refinement stops at _MAX_PANELS panels.
     """
-    if upper <= 0:
-        raise ValueError("upper must be positive")
-    edges = _initial_edges(upper, period_hint, chirp)
+    if not 0 < upper < math.inf:
+        raise ValueError(f"upper must be finite and positive, got {upper}")
+    edges = _initial_edges(upper, rate, chirp)
     return _adapt(f, edges[:-1], edges[1:], tol)

@@ -21,7 +21,6 @@ from neqbath.dephasing import (
     METHOD_QUADRATURE,
     DecoherenceCurve,
     _log_upper_gamma,
-    _oscillation_controls,
     _tail_cutoff,
     beta_closed,
     beta_integrand,
@@ -268,9 +267,9 @@ class TestTruncatedQuadrature:
     @pytest.mark.parametrize("lam", [0.0, 1.0, 5.0])
     @pytest.mark.parametrize("t", [0.02, 0.5, 3.0, 10.0])
     def test_initial_grid_meets_width_rule(self, t, lam, upper):
-        c = cfg(FIG3, phase_lambda=lam)
-        hint, chirp = _oscillation_controls(t, c)
-        edges = _initial_edges(upper, hint, chirp)
+        rate = 2.0 * t  # the local angular frequency at w = 0
+        edges = _initial_edges(upper, rate, 4.0 * lam)
+        hint = 2.0 * math.pi / rate
         widths = np.diff(edges)
         floor = upper / 8192.0
         w0 = max(min(upper / 64.0, 3.0 * hint), floor)
@@ -286,11 +285,47 @@ class TestTruncatedQuadrature:
         assert len(edges) <= 1.05 * len(greedy) + 3
 
     def test_linear_grid_is_uniform_below_one_period(self):
-        hint, chirp = _oscillation_controls(3.0, cfg(FIG2))
-        assert chirp == 0.0
-        widths = np.diff(_initial_edges(40.0, hint, chirp))
+        rate = 4.0  # at t = 3, 2 |t - lam|
+        widths = np.diff(_initial_edges(40.0, rate, 0.0))
+        hint = 2.0 * math.pi / rate
         assert np.all(widths <= hint * (1.0 + 1e-12))
         assert np.allclose(widths[:-1], widths[0])
+
+    @pytest.mark.parametrize("upper", [1e-300, 0.3, 40.0, 1e300])
+    def test_no_oscillation_gives_64_equal_panels(self, upper):
+        edges = _initial_edges(upper, 0.0, 0.0)
+        assert len(edges) == 65 and edges[0] == 0.0 and edges[-1] == upper
+        assert np.allclose(np.diff(edges), upper / 64.0, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("params,t,rate,chirp", [
+        (FIG2, 3.0, 4.0, 0.0),  # 2 |t - lam|
+        (FIG2, 0.25, 1.5, 0.0),
+        (FIG3, 3.0, 6.0, 4.0),  # 2 t, 4 lam
+    ])
+    def test_quadrature_states_the_local_rate(self, monkeypatch, params, t, rate, chirp):
+        seen = []
+        inner = dephasing.integrate_semi_infinite
+        monkeypatch.setattr(dephasing, "integrate_semi_infinite", lambda f, upper, **kw: (
+            seen.append(kw) or inner(f, upper, **kw)))
+        beta_quadrature(t, cfg(params))
+        assert seen[0]["rate"] == rate and seen[0]["chirp"] == chirp
+
+    @pytest.mark.parametrize("params", [FIG2, FIG3])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("dt,tol", [(20.0, 1e-10), (3.0, 1.0)])
+    def test_negligible_oscillation_returns_the_smooth_part(self, params, n, dt, tol):
+        # the oscillating part weighs at most gamma a n!, a = e^-2Dt - e^-4Dt;
+        # at or below tol / 10 (D t = 20: about 1e-16) it is not integrated
+        c = cfg(params, ohmicity=n)
+        t = dt / c.diffusion
+        e2 = math.exp(-2.0 * c.diffusion * t)
+        whole = c.gamma * (e2 - e2 * e2) * math.factorial(n)
+        assert whole <= 0.1 * tol
+        res = beta_quadrature(t, c, tol=tol)
+        assert res.value == c.gamma * (math.factorial(n) * (1.0 - e2))
+        assert res.error == whole and res.subdivisions == 0 and res.converged
+        if c.phase_profile == "linear":
+            assert abs(res.value - beta_closed(t, c)) <= res.error
 
     def test_zero_coupling_vanishes(self):
         for params in (FIG2, FIG3):
@@ -547,6 +582,27 @@ class TestDispatch:
             decoherence_factor(np.array([-1.0, 0.0]), cfg(FIG2))
         with pytest.raises(ValueError):
             decoherence_factor(np.array([[0.0, 1.0]]), cfg(FIG2))
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: beta_quadrature(math.nan, cfg(FIG3)), "t must be >= 0, got nan"),
+        (lambda: beta_values(np.array([0.0, math.nan]), cfg(FIG2), 1e-10),
+         "times must be >= 0, got nan"),
+        (lambda: beta_values(np.array([math.nan]), cfg(FIG3), 1e-10),
+         "times must be >= 0, got nan"),
+        (lambda: beta_quadrature(1.0, cfg(FIG3), omega_max=-1.0),
+         "omega_max must be finite and positive, got -1.0"),
+        (lambda: beta_quadrature(1.0, cfg(FIG3), omega_max=math.nan),
+         "omega_max must be finite and positive, got nan"),
+        (lambda: beta_quadrature(1.0, cfg(FIG3), omega_max=math.inf),
+         "omega_max must be finite and positive, got inf"),
+    ], ids=["quadrature t", "closed-form times", "quadrature times",
+            "omega_max -1", "omega_max nan", "omega_max inf"])
+    def test_nan_times_and_bad_cutoffs_are_named(self, call, message):
+        # a NaN time is an input error on both routes, not a silent NaN
+        # beta or a convergence failure
+        with pytest.raises(ValueError) as exc_info:
+            call()
+        assert str(exc_info.value) == message
 
     def test_no_diffusion_means_no_decay(self):
         ts = np.arange(0.0, 10.01, 0.5)

@@ -6,6 +6,7 @@ not know about.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ def test_oscillatory_laplace_transform():
     def f(w):
         return w * np.exp(-w) * np.cos(2.0 * w)
 
-    res = integrate_semi_infinite(f, upper=60.0, tol=1e-12, period_hint=math.pi)
+    res = integrate_semi_infinite(f, upper=60.0, tol=1e-12, rate=2.0)
     assert res.converged
     assert res.value == pytest.approx(-3.0 / 25.0, abs=1e-11)
 
@@ -119,10 +120,8 @@ def test_tolerance_contract_against_tighter_run():
     def f(w):
         return np.exp(-w) * np.cos(5.0 * w)
 
-    loose = integrate_semi_infinite(f, upper=80.0, tol=1e-8,
-                                    period_hint=2.0 * math.pi / 5.0)
-    tight = integrate_semi_infinite(f, upper=80.0, tol=1e-13,
-                                    period_hint=2.0 * math.pi / 5.0)
+    loose = integrate_semi_infinite(f, upper=80.0, tol=1e-8, rate=5.0)
+    tight = integrate_semi_infinite(f, upper=80.0, tol=1e-13, rate=5.0)
     assert loose.converged and tight.converged
     assert loose.error <= 1e-8
     # exact value 1/26; the loose run must sit inside its own error bar
@@ -138,8 +137,7 @@ def test_linearity(a, b):
     def f(w):
         return a * np.exp(-w) + b * np.exp(-w / 2.0) * np.cos(w)
 
-    res = integrate_semi_infinite(f, upper=120.0, tol=1e-10,
-                                  period_hint=2.0 * math.pi)
+    res = integrate_semi_infinite(f, upper=120.0, tol=1e-10, rate=1.0)
     expected = a * 1.0 + b * 0.4
     assert res.value == pytest.approx(expected, abs=2e-10)
 
@@ -148,8 +146,8 @@ def test_bitwise_determinism():
     def f(w):
         return w * np.exp(-w) * np.cos(3.0 * w + 0.2)
 
-    r1 = integrate_semi_infinite(f, upper=60.0, tol=1e-11, period_hint=math.pi / 1.5)
-    r2 = integrate_semi_infinite(f, upper=60.0, tol=1e-11, period_hint=math.pi / 1.5)
+    r1 = integrate_semi_infinite(f, upper=60.0, tol=1e-11, rate=3.0)
+    r2 = integrate_semi_infinite(f, upper=60.0, tol=1e-11, rate=3.0)
     assert r1.value == r2.value
     assert r1.error == r2.error
     assert r1.subdivisions == r2.subdivisions
@@ -220,6 +218,22 @@ def test_bad_arguments():
         finite_difference_slope(math.sin, 0.0, h=0.0)
     with pytest.raises(ValueError):
         finite_difference_curvature(math.sin, 0.0, h=-1.0)
+
+
+@pytest.mark.parametrize("integrator,bounds,message", [
+    (integrate_semi_infinite, (math.inf,), "upper must be finite and positive, got inf"),
+    (integrate_semi_infinite, (math.nan,), "upper must be finite and positive, got nan"),
+    (integrate_finite, (0.0, math.inf), "must be finite with b > a, got [0.0, inf]"),
+    (integrate_finite, (-math.inf, 0.0), "must be finite with b > a, got [-inf, 0.0]"),
+    (integrate_finite, (math.nan, 1.0), "must be finite with b > a, got [nan, 1.0]"),
+], ids=["upper inf", "upper nan", "b inf", "a -inf", "a nan"])
+def test_nonfinite_bounds_rejected_by_name(integrator, bounds, message):
+    # refused before any node is evaluated: no RuntimeWarning, no blame on the integrand
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc_info:
+            integrator(np.exp, *bounds)
+    assert message in str(exc_info.value)
 
 
 def test_slope_against_analytic_derivative():
