@@ -3,9 +3,10 @@
 
 Covers every file of the seven `reproduce-figure` runs, the CSV and the
 `--json` document of a fixed set of table runs (each subcommand and gp
-mode, both evaluation routes, the dip report, a non-finite snapshot
-time), and the `--help` text of the parser and of each subcommand.  All
-runs go in-process through `neqbath.cli.main`, in a temporary directory.
+mode, both evaluation routes, the dip report, a non-unit cutoff, a
+non-finite snapshot time), and the `--help` text of the parser and of
+each subcommand.  All runs go in-process through `neqbath.cli.main`, in
+a temporary directory.
 Run it on two trees and diff the maps: equal maps mean byte-identical
 outputs.  The map has one entry per line in a fixed order, so `diff`
 names each entry that changed, is missing or is new, and exits 1 if
@@ -34,6 +35,7 @@ TABLE_RUNS = [
     "decoherence --dip",
     "decoherence --ohmicity 3 --dip --grid 0:5:0.05",
     "decoherence --profile quadratic --gamma 3 --grid 0:2:0.25",
+    "decoherence --profile quadratic --cutoff 3 --gamma 3 --grid 0:2:0.25",
     "decoherence --method quadrature --tol 1e-8 --grid 0:2:0.5",
     "gp",
     "gp --mode surface --gamma-grid 0:0.5:0.25",

@@ -17,16 +17,11 @@ __all__ = [
     "BathConfig",
     "SpectralDensity",
     "PhaseProfile",
-    "DeltaLimitError",
     "phase_distribution_eval",
 ]
 
 _PROFILE_KINDS = ("linear", "quadratic")
 _MAX_OHMICITY = 170
-
-
-class DeltaLimitError(ValueError):
-    """Phase distribution requested at Dt = 0, where it is a delta at x = 0."""
 
 
 @dataclass(frozen=True)
@@ -120,7 +115,7 @@ def phase_distribution_eval(diffusion: float, x, t: float):
     (images), so both are exact in double precision, down to a subnormal
     D t.  t = inf is the uniform limit, exactly 1/(2 pi).
 
-    Dt = 0 has no density (delta at x = 0) and raises DeltaLimitError.
+    Dt = 0 has no density (delta at x = 0) and raises ValueError.
     """
     if not (math.isfinite(diffusion) and diffusion >= 0):
         raise ValueError(f"diffusion must be finite and >= 0, got {diffusion}")
@@ -128,7 +123,7 @@ def phase_distribution_eval(diffusion: float, x, t: float):
         raise ValueError(f"t must be >= 0, got {t}")
     dt_prod = diffusion * t
     if not dt_prod > 0.0:  # D t = 0, or 0 * inf: a delta for all time
-        raise DeltaLimitError(
+        raise ValueError(
             "P(x, t) at D*t = 0 is a delta distribution at x = 0; "
             "evaluate at D*t > 0 or handle the initial condition directly"
         )

@@ -153,27 +153,31 @@ def _tail_cutoff(n: int, log_target: float) -> float:
     return max(x, 1.0)
 
 
-def _log_tail(x: float, n: int, log_scale: float, r0: float, r1: float) -> float:
+def _log_tail(x: float, n: int, log_scale: float, s0: float, s1: float, cut: float) -> float:
     """log bound on |int_W^inf g cos phi dw|, x = W / cutoff, log_scale = log gamma a:
-    gamma a Gamma(n + 1, x), or where g falls (x >= n) and r = r0 + r1 x > 0 does
-    not (r1 >= 0), integration by parts' 2 g(W) / |phi'(W)| = gamma a x^n e^-x / r."""
+    gamma a Gamma(n + 1, x), or where g falls (x >= n) and |phi'| / 2 = s0 + s1 W > 0
+    does not (s1 >= 0), integration by parts' 2 g(W) / |phi'(W)| = gamma a x^n e^-x / r
+    with r = cutoff (s0 + s1 W), taken as a sum of logs so that no cutoff^2 overflows."""
     log_gamma = log_scale + _log_upper_gamma(n, x)
-    if x < n or r0 + r1 * x <= 0.0:
+    if x < n or s0 + s1 * cut * x <= 0.0:
         return log_gamma
-    return min(log_gamma, log_scale + n * math.log(x) - x - math.log(r0 + r1 * x))
+    log_r = math.log(cut) + math.log(s0 + s1 * cut * x)
+    return min(log_gamma, log_scale + n * math.log(x) - x - log_r)
 
 
-def _osc_cutoff(n: int, log_target: float, r0: float, r1: float) -> float:
+def _osc_cutoff(n: int, log_target: float, s0: float, s1: float, cut: float) -> float:
     """Smallest x where _log_tail (log_scale 0) meets log_target: Newton from the
     Gamma bound's cut-off to the root of the falling integration-by-parts
     bound; a step past that bound's edge halves the distance to it instead."""
     x = _tail_cutoff(n, log_target)
-    edge = max(float(n), -r0 / r1 if r1 > 0.0 else (0.0 if r0 > 0.0 else math.inf))
-    excess = lambda y: n * math.log(y) - y - math.log(r0 + r1 * y) - log_target
-    if x > edge and excess(x) < 0.0:
+    edge = max(float(n), -s0 / (s1 * cut) if s1 > 0.0 else (0.0 if s0 > 0.0 else math.inf))
+    excess = lambda y: (n * math.log(y) - y - (math.log(cut) + math.log(s0 + s1 * cut * y))
+                        - log_target)
+    if x > edge and -math.inf < excess(x) < 0.0:  # -inf: r overflows; keep the Gamma cut-off
         for _ in range(100):
             last = x
-            x = max(x + excess(x) / (1.0 - n / x + r1 / (r0 + r1 * x)), 0.5 * (x + edge))
+            x = max(x + excess(x) / (1.0 - n / x + s1 * cut / (s0 + s1 * cut * x)),
+                    0.5 * (x + edge))
             if abs(x - last) <= 1e-9 * last:
                 break
     return x
@@ -214,11 +218,10 @@ def beta_quadrature(t: float, config: BathConfig,
     # phi'(w) / 2 = t + theta'(w): |phi'| / 2 = s0 + s1 w wherever it does not
     # fall, and |phi'| <= 2 |s0| + 2 s1 w everywhere
     s0, s1 = (abs(t - lam), 0.0) if config.phase_profile == "linear" else (-t, 2.0 * lam)
-    r0, r1 = cut * s0, s1 * cut * cut  # r = cutoff |phi'(W)| / 2 = r0 + r1 W / cutoff
     if omega_max is None:
         log_target = math.log(_TAIL_SHARE) + math.log(tol) - log_scale
-        omega_max = cut * _osc_cutoff(n, log_target, r0, r1)
-    tail = math.exp(_log_tail(omega_max / cut, n, log_scale, r0, r1))
+        omega_max = cut * _osc_cutoff(n, log_target, s0, s1, cut)
+    tail = math.exp(_log_tail(omega_max / cut, n, log_scale, s0, s1, cut))
     try:
         res = integrate_semi_infinite(
             lambda w: beta_integrand(w, t, config), upper=omega_max,

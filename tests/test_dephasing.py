@@ -391,6 +391,20 @@ class TestTruncatedQuadrature:
         assert math.exp(-beta_closed(1e4, tiny)) == pytest.approx(want, rel=1e-12)
 
 
+    @pytest.mark.parametrize("cutoff,message", [
+        (2e154, "non-finite value at x"),
+        (1e200, "non-finite value at x"),
+        (1e308, "upper must be finite and positive, got inf"),  # W past the largest double
+    ])
+    def test_huge_cutoff_is_not_a_nan_cutoff(self, cutoff, message):
+        # cutoff^2 overflows past 1.34e154; the tail bound never forms it,
+        # so the failure names the integrand or W, not a NaN upper limit
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ConvergenceError, match=message):
+                beta_quadrature(0.5, cfg(FIG3, cutoff=cutoff))
+
+
 def faddeeva_beta(t, c):
     """beta(t) for the quadratic profile through w(z) = scipy's wofz.
 
@@ -553,6 +567,15 @@ class TestTailBound:
     def test_linear_quadrature_tail_is_covered(self, monkeypatch):
         # decoherence --method quadrature --tol 1e-8 at t = 2, the CLI defaults
         self.assert_covered(monkeypatch, 2.0, cfg(FIG2), 1e-8)
+
+    @pytest.mark.parametrize("cutoff", [0.37, 3.0])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("t", [0.5, 2.0, 5.0])
+    def test_quadratic_tail_is_covered_off_unit_cutoff(self, monkeypatch, cutoff, n, t):
+        self.assert_covered(monkeypatch, t, cfg(FIG3, cutoff=cutoff, ohmicity=n), 1e-10)
+
+    def test_linear_tail_is_covered_off_unit_cutoff(self, monkeypatch):
+        self.assert_covered(monkeypatch, 2.0, cfg(FIG2, cutoff=3.0), 1e-8)
 
 
 class TestDispatch:
