@@ -79,12 +79,16 @@ class SpectralDensity:
 
     def __call__(self, omega):
         w = np.asarray(omega, dtype=float)
-        if np.any(w < 0):
+        if (w < 0).any():
             raise ValueError("spectral density is defined for omega >= 0 only")
-        x = w / self.cutoff
+        x = w / self.cutoff  # then in place (a float omega gives a float, which *= rebinds)
         # past the largest double: inf or nan, which every caller rejects
         with np.errstate(over="ignore", invalid="ignore"):
-            return (4.0 * self.gamma / self.cutoff) * x**self.ohmicity * np.exp(-x)
+            decay = np.exp(-x)
+            x **= self.ohmicity
+            x *= 4.0 * self.gamma / self.cutoff
+            x *= decay
+        return x
 
 
 class PhaseProfile:

@@ -459,8 +459,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = None  # built by the first main call, then reused: parsing keeps no state
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    _PARSER = _PARSER or build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     # ConfigError is a ValueError, as is the library's rejection of bad

@@ -86,12 +86,18 @@ class DipReport:
 
 def beta_integrand(omega, t: float, config: BathConfig):
     """Oscillating part of beta(t)'s integrand, g(w) cos(2 (w t + theta(w))) with
-    g = I(w) (e^-2Dt - e^-4Dt) / 4 (vectorized over frequency).  The smooth part,
-    I(w) (1 - e^-2Dt) / 4, has the exact integral gamma n! (1 - e^-2Dt)."""
+    g = I(w) (e^-2Dt - e^-4Dt) / 4 (vectorized over frequency, in place on new arrays).
+    The smooth part, I(w) (1 - e^-2Dt) / 4, has the exact integral gamma n! (1 - e^-2Dt)."""
     w = np.asarray(omega, dtype=float)
     e2 = math.exp(-2.0 * config.diffusion * t)
     amp = 0.25 * (e2 - e2 * e2)
-    return (amp * SpectralDensity(config)(w)) * np.cos(2.0 * (w * t + PhaseProfile(config)(w)))
+    out = SpectralDensity(config)(w)
+    out *= amp
+    phase = PhaseProfile(config)(w)
+    phase += w * t
+    phase *= 2.0
+    out *= np.cos(phase)
+    return out
 
 
 def beta_closed(t, config: BathConfig):
@@ -194,7 +200,7 @@ def beta_quadrature(t: float, config: BathConfig,
     beta_integrand's integral over [0, W]; W, unless omega_max fixes it,
     is the smallest cut-off whose tail bound (_log_tail) is tol / 10.  The
     error is the quadrature error plus that bound; ConvergenceError, with
-    the best estimate attached, if it misses tol or the integrand overflows.
+    the best estimate attached, if it misses tol or the integrand or its phase bound overflows.
     When the oscillating part's whole weight gamma a n! is at most tol / 10,
     the smooth part is returned with that weight as its error.
     """
@@ -222,6 +228,11 @@ def beta_quadrature(t: float, config: BathConfig,
         log_target = math.log(_TAIL_SHARE) + math.log(tol) - log_scale
         omega_max = cut * _osc_cutoff(n, log_target, s0, s1, cut)
     tail = math.exp(_log_tail(omega_max / cut, n, log_scale, s0, s1, cut))
+    # |2 (w t + theta(w))| <= 2 (W t + |theta(W)|) on [0, W]: refused by name, not warned of
+    reach = omega_max * (1.0 if config.phase_profile == "linear" else omega_max)
+    if omega_max < math.inf and not math.isfinite(2.0 * (omega_max * t + lam * reach)):
+        raise ConvergenceError(f"beta({t}) quadrature failed: the phase bound 2 (w t + "
+                               f"|theta(w)|) takes a non-finite value at x = W = {omega_max!r}")
     try:
         res = integrate_semi_infinite(
             lambda w: beta_integrand(w, t, config), upper=omega_max,

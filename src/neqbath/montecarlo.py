@@ -104,7 +104,7 @@ def discretize_bath(config: BathConfig, n_modes: int,
 
     Warns when the modes fail to carry the full spectral weight to
     within 1% (grid too coarse or omega_max too small), since missing
-    weight biases the sampled decoherence; ValueError if a coupling overflows.
+    weight biases the sampled decoherence; ValueError if a coupling or a phase overflows.
     """
     _check_count("n_modes", n_modes, 1)
     if not (omega_max > 0 and math.isfinite(omega_max)):
@@ -114,7 +114,10 @@ def discretize_bath(config: BathConfig, n_modes: int,
     coupling = np.sqrt(SpectralDensity(config)(w) * dw)
     if not np.all(np.isfinite(coupling)):
         raise ValueError("mode couplings overflow a double: lower gamma or the ohmicity")
-    theta0 = np.asarray(PhaseProfile(config)(w), dtype=float)
+    with np.errstate(over="ignore"):  # refused here, as the couplings are
+        theta0 = PhaseProfile(config)(w)
+    if not np.isfinite(theta0).all():
+        raise ValueError("mode phases theta0 overflow a double: lower phase_lambda or the cutoff")
     total = 4.0 * config.gamma * math.factorial(config.ohmicity)  # integral of I
     if total > 0:
         covered = float(np.sum(coupling**2))  # midpoint rule

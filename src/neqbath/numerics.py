@@ -105,8 +105,8 @@ def _adapt(f, a, b, tol):
     vector = err.ndim > 1
     while True:
         n = len(a)
-        if (np.all(err.sum(axis=-1) <= tol) if vector else float(err.sum()) <= tol) \
-                or n >= _MAX_PANELS:
+        total = err.sum(axis=-1)  # summed once per round, and kept for the result
+        if ((total <= tol).all() if vector else float(total) <= tol) or n >= _MAX_PANELS:
             break
         # split every panel above its fair share of the budget in any component,
         # or NaN (overflowed sums): while a sum exceeds tol, some panel does
@@ -125,10 +125,9 @@ def _adapt(f, a, b, tol):
         k21 = np.concatenate([k21[..., keep], new_k], axis=-1)
         err = np.concatenate([err[..., keep], new_e], axis=-1)
     if vector:
-        total_err = err.sum(axis=-1)
-        return QuadratureResult(k21.sum(axis=-1), total_err, len(a), bool(np.all(total_err <= tol)))
-    total_err = float(err.sum())
-    return QuadratureResult(float(k21.sum()), total_err, len(a), total_err <= tol)
+        return QuadratureResult(k21.sum(axis=-1), total, len(a), bool((total <= tol).all()))
+    total = float(total)
+    return QuadratureResult(float(k21.sum()), total, len(a), total <= tol)
 
 
 def integrate_finite(

@@ -28,6 +28,14 @@ def run_cli(args):
     return main(list(args))
 
 
+def fresh_cli(args):
+    """Run the CLI in a new process, which builds its parser anew."""
+    src = str(Path(neqbath.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "neqbath.cli", *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
 def read_csv(path):
     rows = []
     comments = []
@@ -632,6 +640,56 @@ class TestFiguresShareSubcommands:
 
 
 
+class TestSharedParser:
+    """main builds one parser in a process and reuses it: no call sees
+    the flags, mode or failure of the one before."""
+
+    def test_flags_do_not_carry_over(self, tmp_path):
+        assert run_cli(["decoherence", "--dip", "--ohmicity", "3",
+                        "--out", str(tmp_path / "a.csv")]) == 0
+        assert run_cli(["decoherence", "--out", str(tmp_path / "b.csv")]) == 0
+        assert fresh_cli(["decoherence", "--out", str(tmp_path / "c.csv")]).returncode == 0
+        assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
+
+    def test_mode_does_not_carry_over(self, tmp_path):
+        assert run_cli(["gp", "--mode", "surface", "--gamma-grid", "0:0.5:0.25",
+                        "--out", str(tmp_path / "s.csv")]) == 0
+        assert run_cli(["gp", "--out", str(tmp_path / "p.csv")]) == 0
+        header, data, _ = read_csv(tmp_path / "p.csv")
+        assert header == ["theta0", "phi_g", "phi_u", "delta", "err"]
+        assert len(data) == 1
+
+    def test_a_bad_flag_does_not_spoil_the_next_call(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli(["decoherence", "--no-such-flag"])
+        assert exc_info.value.code == 2
+        assert run_cli(["decoherence", "--grid", "0:1:0.5",
+                        "--out", str(tmp_path / "x.csv")]) == 0
+
+    @pytest.mark.parametrize("command", ["", "decoherence", "reproduce-figure"])
+    def test_help_is_the_same_on_the_first_and_a_later_call(self, command, monkeypatch,
+                                                             capsys, tmp_path):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setattr(cli, "_PARSER", None)  # the next call builds it
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit):
+                run_cli(command.split() + ["--help"])
+            texts.append(capsys.readouterr().out)
+            assert run_cli(["gp", "--out", str(tmp_path / "gp.csv")]) == 0
+        assert texts[0] == texts[1]
+        assert texts[0].startswith(f"usage: neqbath {command}".rstrip())
+
+    def test_a_second_figure_pass_writes_the_same_bytes(self, figure_dir, tmp_path):
+        # figure_dir holds the first pass, in this process
+        for number in cli._FIGURES:
+            assert run_cli(["reproduce-figure", str(number), "--out-dir", str(tmp_path)]) == 0
+        names = sorted(p.name for p in figure_dir.iterdir())
+        assert names == sorted(p.name for p in tmp_path.iterdir())
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (figure_dir / name).read_bytes(), name
+
+
 class TestEntryPoint:
     def test_console_script_runs(self):
         # the child imports the package under test, installed or not
@@ -773,6 +831,27 @@ class TestExitCodes:
         argv += ["--grid", "0:1:0.5"] if argv[0] == "decoherence" else []
         assert run_cli(argv + ["--out", str(tmp_path / "x.csv")]) == 2
         assert f"config error: {field} must" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,code", [
+        (["decoherence", "--grid", "0:1:0.5"], 3),
+        (["gp"], 3),
+        (["mc", "--n-modes", "4", "--n-trajectories", "2", "--horizon", "0.5",
+          "--dt", "0.1"], 2),
+    ], ids=["decoherence", "gp", "mc"])
+    def test_overflowing_quadratic_phase_is_refused_without_warnings(
+            self, argv, code, tmp_path, capsys):
+        # lam w^2 passes the largest double from w = 1.34e154, inside the
+        # quadrature's cut-off W (refused before any integrand point) and
+        # the MC's band of 20 cutoff
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run_cli(argv + ["--profile", "quadratic", "--cutoff", "1e200",
+                                  "--out", str(tmp_path / "x.csv")])
+        assert got == code
+        err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err
+        assert ("the phase bound 2 (w t + |theta(w)|) takes a non-finite value" if code == 3
+                else "mode phases theta0 overflow") in err
 
     @settings(derandomize=True, max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -7,14 +7,16 @@ route, against symbolic special points, and against the long-time limit.
 
 import dataclasses
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from neqbath import dephasing
-from neqbath.bath import BathConfig
+from neqbath.bath import BathConfig, PhaseProfile, SpectralDensity
 from neqbath.cli import grid_array
 from neqbath.dephasing import (
     METHOD_CLOSED,
@@ -187,6 +189,52 @@ class TestIntegrand:
         vals = beta_integrand(w, 1.5, cfg(FIG2))
         assert vals.shape == w.shape
         assert np.all(np.isfinite(vals))
+
+
+def one_expression(name, w, t, c):
+    """The one-expression forms of the density, the phase and the integrand,
+    which compute the same float operations in the same order with a new
+    array for every step."""
+    x = w / c.cutoff
+    density = (4.0 * c.gamma / c.cutoff) * x**c.ohmicity * np.exp(-x)
+    lam = c.phase_lambda
+    theta = -lam * w if c.phase_profile == "linear" else -lam * w * w
+    e2 = math.exp(-2.0 * c.diffusion * t)
+    return {"density": density, "phase": theta,
+            "integrand": (0.25 * (e2 - e2 * e2) * density) * np.cos(2.0 * (w * t + theta))}[name]
+
+
+class TestInPlaceArithmetic:
+    """SpectralDensity, PhaseProfile and beta_integrand compute in place on
+    arrays they make: the input is left as it was, the result is a new
+    array, and the bits are those of the one-expression forms."""
+
+    CALLS = {"density": lambda w, t, c: SpectralDensity(c)(w),
+             "phase": lambda w, t, c: PhaseProfile(c)(w),
+             "integrand": beta_integrand}
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("profile", ["linear", "quadratic"])
+    @pytest.mark.parametrize("ohmicity", [1, 3])
+    def test_array_input_is_kept_and_the_result_is_new(self, name, profile, ohmicity):
+        c = cfg(FIG3, phase_profile=profile, ohmicity=ohmicity)
+        w = np.linspace(0.0, 40.0, 2101)
+        before = w.copy()
+        got = self.CALLS[name](w, 2.5, c)
+        assert w.tobytes() == before.tobytes()
+        assert not np.shares_memory(got, w)
+        want = one_expression(name, before, 2.5, c)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("profile", ["linear", "quadratic"])
+    @pytest.mark.parametrize("omega", [0.0, 0.7, 13.0])
+    def test_float_input_gives_a_numpy_float(self, name, profile, omega):
+        c = cfg(FIG3, phase_profile=profile, ohmicity=3)
+        got = self.CALLS[name](omega, 2.5, c)
+        want = one_expression(name, np.asarray(omega, dtype=float), 2.5, c)
+        assert type(got) is type(want) is np.float64
+        assert got == want
 
 
 class TestQuadrature:
@@ -439,10 +487,17 @@ class TestQuadraticReference:
 
     @pytest.fixture(scope="class")
     def figure3(self):
-        # figure 3's grid and parameters, both ohmicities
+        """Figure 3's quadratures on its grid, for both ohmicities, and the
+        beta_integrand points they took in all: one run serves every test."""
+        points = []
+        integrand = dephasing.beta_integrand
         ts = grid_array((0.0, 10.0, 0.02))
-        return {n: [(float(t), beta_quadrature(float(t), cfg(FIG3, ohmicity=n)))
-                    for t in ts] for n in (1, 3)}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dephasing, "beta_integrand", lambda w, t, c: (
+                points.append(len(w)) or integrand(w, t, c)))
+            runs = {n: [(float(t), beta_quadrature(float(t), cfg(FIG3, ohmicity=n)))
+                        for t in ts] for n in (1, 3)}
+        return runs, sum(points)
 
     @staticmethod
     def assert_within_error(runs, c):
@@ -453,8 +508,9 @@ class TestQuadraticReference:
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_figure3_within_reported_error(self, figure3, n):
-        assert len(figure3[n]) == 501
-        self.assert_within_error(figure3[n], cfg(FIG3, ohmicity=n))
+        runs = figure3[0][n]
+        assert len(runs) == 501
+        self.assert_within_error(runs, cfg(FIG3, ohmicity=n))
 
     @pytest.mark.parametrize("params", [
         dict(gamma=0.5, cutoff=1.0, diffusion=0.5, phase_lambda=0.3, ohmicity=2),
@@ -468,19 +524,19 @@ class TestQuadraticReference:
         ts = (0.05, 0.5, 1.3, 3.0, 7.5)
         self.assert_within_error([(t, beta_quadrature(t, c)) for t in ts], c)
 
-    def test_figure3_point_budget(self, monkeypatch):
+    def test_figure3_point_budget(self, figure3):
         # the oscillating part alone, cut by its integration-by-parts tail
         # bound, three local periods per initial panel, split only where G10
         # and K21 disagree: 2.69 M points (3.58 M for the whole bracket cut
         # by its Gamma bound; 6.44 M with one period and G7/K15)
-        points = []
-        integrand = dephasing.beta_integrand
-        monkeypatch.setattr(dephasing, "beta_integrand", lambda w, t, c: (
-            points.append(len(w)) or integrand(w, t, c)))
-        for n in (1, 3):
-            for t in grid_array((0.0, 10.0, 0.02)):
-                beta_quadrature(float(t), cfg(FIG3, ohmicity=n))
-        assert sum(points) <= 2_800_000
+        assert figure3[1] <= 2_800_000
+
+    def test_readme_quotes_the_figure3_point_count(self, figure3):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        quoted = re.search(r"Figure 3's 1,000 quadratures take\s+([\d,]+) integrand points",
+                           readme)
+        assert quoted, "README no longer quotes figure 3's integrand points"
+        assert int(quoted.group(1).replace(",", "")) == figure3[1]
 
 
 class TestTailBound:
