@@ -49,7 +49,7 @@ METHOD_MC = "monte-carlo"
 # share of the tolerance left to the truncated frequency tail
 _TAIL_SHARE = 0.1
 
-_EPS = np.finfo(float).eps
+_EPS = math.ulp(1.0)  # 2^-52
 
 
 @dataclass
@@ -86,11 +86,10 @@ class DipReport:
 
 def beta_integrand(omega, t: float, config: BathConfig):
     """Oscillating part of beta(t)'s integrand, g(w) cos(2 (w t + theta(w))) with
-    g = I(w) (e^-2Dt - e^-4Dt) / 4 (vectorized over frequency, in place on new arrays).
+    g = I(w) e^-2Dt (1 - e^-2Dt) / 4 (vectorized over frequency, in place on new arrays).
     The smooth part, I(w) (1 - e^-2Dt) / 4, has the exact integral gamma n! (1 - e^-2Dt)."""
     w = np.asarray(omega, dtype=float)
-    e2 = math.exp(-2.0 * config.diffusion * t)
-    amp = 0.25 * (e2 - e2 * e2)
+    amp = 0.25 * (math.exp(-2.0 * config.diffusion * t) * -math.expm1(-2.0 * config.diffusion * t))
     out = SpectralDensity(config)(w)
     out *= amp
     phase = PhaseProfile(config)(w)
@@ -159,34 +158,35 @@ def _tail_cutoff(n: int, log_target: float) -> float:
     return max(x, 1.0)
 
 
-def _log_tail(x: float, n: int, log_scale: float, s0: float, s1: float, cut: float) -> float:
-    """log bound on |int_W^inf g cos phi dw|, x = W / cutoff, log_scale = log gamma a:
-    gamma a Gamma(n + 1, x), or where g falls (x >= n) and |phi'| / 2 = s0 + s1 W > 0
-    does not (s1 >= 0), integration by parts' 2 g(W) / |phi'(W)| = gamma a x^n e^-x / r
-    with r = cutoff (s0 + s1 W), taken as a sum of logs so that no cutoff^2 overflows."""
-    log_gamma = log_scale + _log_upper_gamma(n, x)
-    if x < n or s0 + s1 * cut * x <= 0.0:
-        return log_gamma
-    log_r = math.log(cut) + math.log(s0 + s1 * cut * x)
-    return min(log_gamma, log_scale + n * math.log(x) - x - log_r)
+def _two_term(x: float, n: int, s0: float, s1: float, cut: float):
+    """log(2 |k'/phi'| / (gamma e^-2Dt a)) = log(x^n e^-x P / (4 r^3)) at x = W / cutoff, and its
+    x-derivative: P = q^2 - n / x^2 - 3 q rho + 3 rho^2, q = n / x - 1, rho = r' / r."""
+    u = s0 + s1 * cut * x
+    rho, q = s1 * cut / u, n / x - 1.0
+    p = q * q - n / (x * x) - 3.0 * q * rho + 3.0 * rho * rho
+    dp = (2.0 * n / x - 2.0 * q * n + 3.0 * n * rho) / (x * x) + 3.0 * rho * rho * (q - 2.0 * rho)
+    log_c = n * math.log(x) - x - 3.0 * (math.log(cut) + math.log(u)) + math.log(0.25 * p)
+    return log_c, q - 3.0 * rho + dp / p
 
 
 def _osc_cutoff(n: int, log_target: float, s0: float, s1: float, cut: float) -> float:
-    """Smallest x where _log_tail (log_scale 0) meets log_target: Newton from the
-    Gamma bound's cut-off to the root of the falling integration-by-parts
-    bound; a step past that bound's edge halves the distance to it instead."""
-    x = _tail_cutoff(n, log_target)
-    edge = max(float(n), -s0 / (s1 * cut) if s1 > 0.0 else (0.0 if s0 > 0.0 else math.inf))
-    excess = lambda y: (n * math.log(y) - y - (math.log(cut) + math.log(s0 + s1 * cut * y))
-                        - log_target)
-    if x > edge and -math.inf < excess(x) < 0.0:  # -inf: r overflows; keep the Gamma cut-off
-        for _ in range(100):
-            last = x
-            x = max(x + excess(x) / (1.0 - n / x + s1 * cut / (s0 + s1 * cut * x)),
-                    0.5 * (x + edge))
-            if abs(x - last) <= 1e-9 * last:
-                break
-    return x
+    """Smallest x where the two-term bound (log_scale 0) meets log_target: Newton from
+    -log_target, a step stopping at n + 2 sqrt(n) or halfway to the stationary point x_s.
+    The Gamma cut-off where no rate holds there, where Gamma(n + 1, x) <= x^n e^-x / (1 -
+    n / x) meets the target at the edge, or where the bound ends above x^n e^-x <= Gamma."""
+    lo = n + 2.0 * math.sqrt(n)
+    x_s = -s0 / (s1 * cut) if s1 > 0.0 else (0.0 if s0 > 0.0 else math.inf)
+    edge = max(lo, x_s)
+    if not edge < math.inf > s1 * cut or \
+            n * math.log(edge) - edge - math.log1p(-n / edge) <= log_target:
+        return _tail_cutoff(n, log_target)
+    x = max(-log_target, 2.0 * edge)
+    for _ in range(100):
+        log_c, slope = _two_term(x, n, s0, s1, cut)
+        last, x = x, max(x - (log_c - log_target) / slope, lo, 0.5 * (x + x_s))
+        if abs(x - last) <= 1e-9 * last:
+            break
+    return min(x, _tail_cutoff(n, log_target)) if log_c > n * math.log(last) - last else x
 
 
 def beta_quadrature(t: float, config: BathConfig,
@@ -195,15 +195,26 @@ def beta_quadrature(t: float, config: BathConfig,
                     omega_max: Optional[float] = None) -> QuadratureResult:
     """beta(t) by adaptive quadrature over frequency, any profile and ohmicity.
 
-    A profile, if given, replaces the config's profile kind and delay.
-    beta is gamma n! (1 - e^-2Dt), the smooth part's exact integral, plus
-    beta_integrand's integral over [0, W]; W, unless omega_max fixes it,
-    is the smallest cut-off whose tail bound (_log_tail) is tol / 10.  The
-    error is the quadrature error plus that bound; ConvergenceError, with
-    the best estimate attached, if it misses tol or the integrand or its phase bound overflows.
-    When the oscillating part's whole weight gamma a n! is at most tol / 10,
-    the smooth part is returned with that weight as its error.
-    """
+    A profile, if given, replaces the config's profile kind and delay.  With
+    a = 1 - e^-2Dt, beta is gamma n! a (the smooth part), plus beta_integrand's
+    g cos phi over [0, W], plus the tail, by parts twice (h = g / phi', k = h' / phi'):
+
+        int_W^inf g cos phi = -h sin phi(W) - k cos phi(W) - int_W^inf k' cos phi,
+
+    whose remainder is at most 2 |m(W)|, m = k'/phi', where m keeps its sign and falls
+    in size on [W, inf).  In x = w / cutoff, with G = gamma e^-2Dt a x^n e^-x and
+    r = cutoff (s0 + s1 W) = |phi'| / 2, 4 |m| = G'' / r^3 - 3 G' r' / r^4 + 3 G r'^2 / r^5;
+    past the stationary point (r > 0, r' >= 0) and n + 2 sqrt(n), each term is nonnegative
+    and falls: -G' = e^-x x^(n-1) (x - n) from n + sqrt(n), and G'' = e^-x x^(n-2)
+    ((x - n)^2 - n) where y^3 - 3 n y - 2 n > 0, y = x - n.  The tail is charged the least
+    bound that holds at W: that one, with the two terms; G / r = 2 g / |phi'| (x >= n,
+    r > 0); gamma e^-2Dt a Gamma(n + 1, x).  W, unless omega_max fixes it, is where the
+    bound is tol / 10 (_osc_cutoff).  The error adds the panels', the tail's and 5 eps gamma
+    n! a, the smooth part's rounding (-expm1 in an ulp; its argument, n! and two products
+    eps / 2 each; eps per sum, at most twice it).  ConvergenceError, with the best estimate
+    attached, if the first two miss tol or the integrand or its phase bound overflows.  At
+    an oscillating weight gamma e^-2Dt a n! <= tol / 10, the smooth part is returned with
+    that weight and its rounding as its error."""
     if profile is not None:
         config = dataclasses.replace(config, phase_profile=profile.kind,
                                      phase_lambda=profile.lam)
@@ -214,22 +225,25 @@ def beta_quadrature(t: float, config: BathConfig,
     if omega_max is not None and not 0 < omega_max < math.inf:
         raise ValueError(f"omega_max must be finite and positive, got {omega_max}")
     n, cut, lam = config.ohmicity, config.cutoff, config.phase_lambda
-    e2 = math.exp(-2.0 * config.diffusion * t)  # plain 1 - e2: no rounding term is charged
-    smooth = config.gamma * (math.factorial(n) * (1.0 - e2))
-    amp = e2 - e2 * e2
+    a = -math.expm1(-2.0 * config.diffusion * t)
+    smooth = config.gamma * (math.factorial(n) * a)
+    rounding = 5.0 * _EPS * smooth
+    amp = math.exp(-2.0 * config.diffusion * t) * a  # e^-2Dt - e^-4Dt
     whole = config.gamma * amp * math.factorial(n)  # the Gamma bound at W = 0
     if whole <= _TAIL_SHARE * tol:
-        return QuadratureResult(value=smooth, error=whole, subdivisions=0, converged=True)
+        return QuadratureResult(smooth, whole + rounding, subdivisions=0, converged=True)
     log_scale = math.log(config.gamma) + math.log(amp)
-    # phi'(w) / 2 = t + theta'(w): |phi'| / 2 = s0 + s1 w wherever it does not
-    # fall, and |phi'| <= 2 |s0| + 2 s1 w everywhere
-    s0, s1 = (abs(t - lam), 0.0) if config.phase_profile == "linear" else (-t, 2.0 * lam)
-    if omega_max is None:
-        log_target = math.log(_TAIL_SHARE) + math.log(tol) - log_scale
-        omega_max = cut * _osc_cutoff(n, log_target, s0, s1, cut)
-    tail = math.exp(_log_tail(omega_max / cut, n, log_scale, s0, s1, cut))
+    # phi'(w) / 2 = t + theta'(w) = sign (s0 + s1 w), with s0 + s1 w > 0 wherever
+    # |phi'| does not fall, and |phi'| <= 2 |s0| + 2 s1 w everywhere
+    linear = config.phase_profile == "linear"
+    s0, s1, sign = (abs(t - lam), 0.0, math.copysign(1.0, t - lam)) if linear else (-t, 2 * lam, -1)
+    if omega_max is None:  # x as found, so that rounding W / cutoff keeps it past any edge
+        x = _osc_cutoff(n, math.log(_TAIL_SHARE) + math.log(tol) - log_scale, s0, s1, cut)
+        omega_max = cut * x
+    else:
+        x = omega_max / cut
     # |2 (w t + theta(w))| <= 2 (W t + |theta(W)|) on [0, W]: refused by name, not warned of
-    reach = omega_max * (1.0 if config.phase_profile == "linear" else omega_max)
+    reach = omega_max * (1.0 if linear else omega_max)
     if omega_max < math.inf and not math.isfinite(2.0 * (omega_max * t + lam * reach)):
         raise ConvergenceError(f"beta({t}) quadrature failed: the phase bound 2 (w t + "
                                f"|theta(w)|) takes a non-finite value at x = W = {omega_max!r}")
@@ -239,8 +253,21 @@ def beta_quadrature(t: float, config: BathConfig,
             tol=(1.0 - _TAIL_SHARE) * tol, rate=2.0 * abs(s0), chirp=2.0 * s1)
     except ValueError as exc:  # the integrand overflowed
         raise ConvergenceError(f"beta({t}) quadrature failed: {exc}") from exc
-    error = res.error + tail
-    res = QuadratureResult(value=smooth + res.value, error=error,
+    log_g = log_scale + n * math.log(x) - x  # log G(x), below the Gamma bound
+    log_tail, terms, u = math.inf, 0.0, s0 + s1 * cut * x
+    if x >= n and u > 0.0:
+        log_r = math.log(cut) + math.log(u)
+        log_tail = log_g - log_r
+        log_c = log_scale + _two_term(x, n, s0, s1, cut)[0] \
+            if x >= n + 2.0 * math.sqrt(n) else math.inf
+        if log_c < log_tail:
+            log_tail, phase = log_c, 2.0 * (omega_max * t - lam * reach)
+            terms = -(sign * 0.5 * math.exp(log_g - log_r) * math.sin(phase) + 0.25 * math.exp(
+                log_g - 2.0 * log_r) * (n / x - 1.0 - s1 * cut / u) * math.cos(phase))
+    if log_tail > log_g and (log_gamma := log_scale + _log_upper_gamma(n, x)) < log_tail:
+        log_tail, terms = log_gamma, 0.0
+    error = res.error + math.exp(log_tail)
+    res = QuadratureResult(value=smooth + res.value + terms, error=error + rounding,
                            subdivisions=res.subdivisions, converged=error <= tol)
     if not res.converged:
         raise ConvergenceError(

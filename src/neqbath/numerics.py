@@ -165,19 +165,19 @@ def _initial_edges(upper: float, rate: float, chirp: float) -> np.ndarray:
     if chirp > 0:
         a1 = min(max((step / w0 - rate) / chirp, 0.0), upper)
         a2 = min(max((step / floor - rate) / chirp, a1), upper)
-    p1 = a1 * (rate + 0.5 * chirp * a1)
-    p2 = a2 * (rate + 0.5 * chirp * a2)
-    phase = p1 + step * np.arange(math.ceil((p2 - p1) / step))
-    edges = np.sort(np.concatenate([
-        w0 * np.arange(math.ceil(a1 / w0)),
+    pieces = [w0 * np.arange(math.ceil(a1 / w0))]
+    if a2 > a1:
+        p1 = a1 * (rate + 0.5 * chirp * a1)
+        phase = p1 + step * np.arange(math.ceil((a2 * (rate + 0.5 * chirp * a2) - p1) / step))
         # root of chirp w^2 / 2 + rate w = phase without cancellation
-        2.0 * phase / (rate + np.sqrt(rate * rate + 2.0 * chirp * phase)),
-        a2 + floor * np.arange(math.ceil((upper - a2) / floor)),
-        [upper],
-    ]))
-    keep = np.ones(len(edges), dtype=bool)
-    keep[1:] = edges[1:] > edges[:-1]  # the first of equal edges, as np.unique
-    return edges[keep]
+        pieces.append(2.0 * phase / (rate + np.sqrt(rate * rate + 2.0 * chirp * phase)))
+    if a2 < upper:
+        pieces.append(a2 + floor * np.arange(math.ceil((upper - a2) / floor)))
+    pieces = [p for p in pieces if len(p)] + [np.array([upper])]
+    edges = np.concatenate(pieces)
+    # each piece rises by at least the floor: only at a1, a2 or upper can rounding put an
+    # edge on or past the next one, and only then are the edges sorted and made unique
+    return np.unique(edges) if any(p[-1] >= q[0] for p, q in zip(pieces, pieces[1:])) else edges
 
 
 def integrate_semi_infinite(

@@ -19,6 +19,8 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 CALLS = {
     "figures": [["reproduce-figure", str(n), "--out-dir", "{tmp}"] for n in range(1, 8)],
+    "gp-quadratic": [["gp", "--mode", "point", "--profile", "quadratic",
+                      "--out", "{tmp}/gp.csv"]],
     "mc": [["mc", "--n-modes", "64", "--n-trajectories", "2", "--dt", "0.005",
             "--horizon", "1", "--seed", "3", "--out", "{tmp}/mc.csv"]],
 }

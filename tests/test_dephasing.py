@@ -366,14 +366,34 @@ class TestTruncatedQuadrature:
         # at or below tol / 10 (D t = 20: about 1e-16) it is not integrated
         c = cfg(params, ohmicity=n)
         t = dt / c.diffusion
-        e2 = math.exp(-2.0 * c.diffusion * t)
-        whole = c.gamma * (e2 - e2 * e2) * math.factorial(n)
+        a = -math.expm1(-2.0 * c.diffusion * t)
+        whole = c.gamma * (math.exp(-2.0 * c.diffusion * t) * a) * math.factorial(n)
         assert whole <= 0.1 * tol
         res = beta_quadrature(t, c, tol=tol)
-        assert res.value == c.gamma * (math.factorial(n) * (1.0 - e2))
-        assert res.error == whole and res.subdivisions == 0 and res.converged
+        smooth = c.gamma * (math.factorial(n) * a)
+        assert res.value == smooth
+        # the weight, plus the smooth term's rounding
+        assert res.error == whole + 5.0 * math.ulp(1.0) * smooth
+        assert res.subdivisions == 0 and res.converged
         if c.phase_profile == "linear":
             assert abs(res.value - beta_closed(t, c)) <= res.error
+
+    def test_small_dt_smooth_term_within_its_error(self):
+        # from a rounded e^-2Dt, 1 - e^-2Dt put beta 5.6e-12 off at a reported
+        # error of 1.1e-13; -expm1, and the smooth term's rounding in the error,
+        # bring it within (the linear profile, forced through the quadrature)
+        import mpmath as mp
+        c = BathConfig(gamma=1.27, cutoff=0.30, diffusion=0.56, phase_lambda=0.0, ohmicity=8)
+        t = 1e-3
+        res = beta_quadrature(t, c, tol=1e-12)
+        with mp.workdps(40):
+            a = -mp.expm1(-2 * mp.mpf(c.diffusion) * t)
+            y, k = 2 * mp.mpf(c.cutoff) * t, c.ohmicity + 1
+            q = mp.cos(k * mp.atan(y)) / (1 + y * y) ** (mp.mpf(k) / 2)
+            want = float(mp.mpf(c.gamma) * mp.factorial(c.ohmicity) * a * (1 + (1 - a) * q))
+        assert abs(res.value - want) <= res.error
+        beta, err, _ = beta_values(np.array([t]), c, 1e-12)
+        assert abs(res.value - beta[0]) <= res.error + err[0]
 
     def test_zero_coupling_vanishes(self):
         for params in (FIG2, FIG3):
@@ -417,12 +437,18 @@ class TestTruncatedQuadrature:
         with pytest.raises(ConvergenceError) as exc_info:
             beta_quadrature(2.0, cfg(FIG3), omega_max=5.0)
         res = exc_info.value.result
-        # the oscillating part's tail: 2 g(W) / |phi'(W)| with |phi'(W)| =
-        # 2 (2 lam W - t) = 16 is below gamma a Gamma(2, 5), a = e^-0.4 - e^-0.8
-        a = math.exp(-0.4) - math.exp(-0.8)
-        tail = 3.0 * a * 5.0 * math.exp(-5.0) / 8.0
-        assert tail < 3.0 * a * math.exp(_log_upper_gamma(1, 5.0))
-        assert res.error >= tail > 2e-3
+        # x = W = 5 is past n + 2 sqrt(n) = 3 and the stationary point 1: the
+        # two-term remainder G P / (4 r^3), G = gamma a x e^-x, r = 2 x - t = 8,
+        # rho = 2 / r, q = 1 / x - 1, is below 2 g(W) / |phi'(W)| = G / r and
+        # the Gamma bound, a = e^-0.4 - e^-0.8
+        g = 3.0 * (math.exp(-0.4) - math.exp(-0.8)) * 5.0 * math.exp(-5.0)
+        q, rho = 0.2 - 1.0, 0.25
+        tail = g * (q * q - 1.0 / 25.0 - 3.0 * q * rho + 3.0 * rho * rho) / (4.0 * 8.0 ** 3)
+        assert tail < g / 8.0 < 3.0 * (math.exp(-0.4) - math.exp(-0.8)) * math.exp(
+            _log_upper_gamma(1, 5.0))
+        assert res.error >= tail > 1e-5
+        # the two terms it adds leave the value within that error
+        assert abs(res.value - faddeeva_beta(2.0, cfg(FIG3))) <= res.error
         res = beta_quadrature(2.0, cfg(FIG3), omega_max=60.0)
         assert res.converged
 
@@ -525,11 +551,12 @@ class TestQuadraticReference:
         self.assert_within_error([(t, beta_quadrature(t, c)) for t in ts], c)
 
     def test_figure3_point_budget(self, figure3):
-        # the oscillating part alone, cut by its integration-by-parts tail
-        # bound, three local periods per initial panel, split only where G10
-        # and K21 disagree: 2.69 M points (3.58 M for the whole bracket cut
-        # by its Gamma bound; 6.44 M with one period and G7/K15)
-        assert figure3[1] <= 2_800_000
+        # the oscillating part alone, its tail taken to two integration-by-parts
+        # terms, three local periods per initial panel, split only where G10
+        # and K21 disagree: 1.84 M points (2.69 M with the one-term tail bound,
+        # 3.58 M for the whole bracket cut by its Gamma bound; 6.44 M with one
+        # period and G7/K15)
+        assert figure3[1] <= 1_950_000
 
     def test_readme_quotes_the_figure3_point_count(self, figure3):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -540,9 +567,10 @@ class TestQuadraticReference:
 
 
 class TestTailBound:
-    """The tail bound beta_quadrature charges past its cut-off W covers the
-    oscillating part's true tail: its integral over [W, W + 60 cutoff] at
-    40 digits, plus the Gamma bound past that."""
+    """The tail bound beta_quadrature charges past its cut-off W covers what
+    its two integration-by-parts terms leave of the oscillating part's true
+    tail: the distance of the terms from its integral over [W, W + 60 cutoff]
+    at 40 digits, plus the Gamma bound past that."""
 
     @staticmethod
     def oscillating_integral(c, t, x_lo, x_hi):
@@ -582,7 +610,7 @@ class TestTailBound:
                 c.gamma * amp * mp.gammainc(n + 1, x_hi))
 
     def charged(self, monkeypatch, t, c, tol):
-        """(W / cutoff, the tail bound charged, the Gamma bound at W)."""
+        """(W / cutoff, the tail bound charged, the terms added, the Gamma bound at W)."""
         seen = []
         inner = dephasing.integrate_semi_infinite
         monkeypatch.setattr(dephasing, "integrate_semi_infinite", lambda f, upper, **kw: (
@@ -590,16 +618,20 @@ class TestTailBound:
         res = beta_quadrature(t, c, tol=tol)
         (upper, quad), = seen
         x = upper / c.cutoff
-        a = math.exp(-2.0 * c.diffusion * t) - math.exp(-4.0 * c.diffusion * t)
-        gamma_bound = c.gamma * a * math.exp(_log_upper_gamma(c.ohmicity, x))
-        return x, res.error - quad.error, gamma_bound
+        a = -math.expm1(-2.0 * c.diffusion * t)
+        smooth = c.gamma * (math.factorial(c.ohmicity) * a)
+        gamma_bound = c.gamma * math.exp(-2.0 * c.diffusion * t) * a * math.exp(
+            _log_upper_gamma(c.ohmicity, x))
+        # the error less the panels' and the smooth term's rounding
+        charged = res.error - quad.error - 5.0 * math.ulp(1.0) * smooth
+        return x, charged, res.value - smooth - quad.value, gamma_bound
 
     def assert_covered(self, monkeypatch, t, c, tol):
-        x, charged, gamma_bound = self.charged(monkeypatch, t, c, tol)
+        x, charged, terms, gamma_bound = self.charged(monkeypatch, t, c, tol)
         near, far = self.oscillating_integral(c, t, x, x + 60.0)
-        # the integration-by-parts bound is the one charged, and it holds
-        assert charged < gamma_bound
-        assert abs(near) + far <= charged, (t, near, far, charged)
+        # the two-term remainder is the bound charged, with its terms, and it holds
+        assert terms != 0.0 and charged < gamma_bound
+        assert abs(near - terms) + far <= charged, (t, near, terms, far, charged)
 
     @pytest.mark.parametrize("params,phase", [
         (FIG3, lambda x: 2 * (x * 2 - x * x)),  # t = 2, lam = cutoff = 1
@@ -620,9 +652,20 @@ class TestTailBound:
     def test_figure3_tail_is_covered(self, monkeypatch, n, t):
         self.assert_covered(monkeypatch, t, cfg(FIG3, ohmicity=n), 1e-10)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("t", [0.5, 2.0, 5.0])
+    def test_figure3_tail_is_covered_at_the_gp_inner_tol(self, monkeypatch, n, t):
+        # the GP takes beta at gamma = 1 and tol 1e-12 / gamma, gamma = 3 in figure 3
+        self.assert_covered(monkeypatch, t, cfg(FIG3, gamma=1.0, ohmicity=n), 1e-12 / 3.0)
+
     def test_linear_quadrature_tail_is_covered(self, monkeypatch):
         # decoherence --method quadrature --tol 1e-8 at t = 2, the CLI defaults
         self.assert_covered(monkeypatch, 2.0, cfg(FIG2), 1e-8)
+
+    @pytest.mark.parametrize("t", [1.0, 5.0])
+    def test_linear_tail_is_covered_on_both_sides_of_the_delay(self, monkeypatch, t):
+        # lam = 3: phi' = 2 (t - lam) is negative at t = 1, and the h term turns
+        self.assert_covered(monkeypatch, t, cfg(FIG2, phase_lambda=3.0), 1e-8)
 
     @pytest.mark.parametrize("cutoff", [0.37, 3.0])
     @pytest.mark.parametrize("n", [1, 3])

@@ -17,11 +17,68 @@ from neqbath.numerics import (
     _NODES,
     _WG_FULL,
     _WK_FULL,
+    _initial_edges,
     integrate_finite,
     integrate_semi_infinite,
 )
 
 EPS = np.finfo(float).eps
+
+
+def sorted_edges(upper, rate, chirp):
+    """The initial edges as all pieces concatenated, sorted and deduplicated."""
+    floor = upper / 8192.0
+    step = 6.0 * math.pi
+    w0 = max(min(upper / 64.0, step / rate if rate else upper), floor)
+    a1 = a2 = upper
+    if chirp > 0:
+        a1 = min(max((step / w0 - rate) / chirp, 0.0), upper)
+        a2 = min(max((step / floor - rate) / chirp, a1), upper)
+    p1 = a1 * (rate + 0.5 * chirp * a1)
+    p2 = a2 * (rate + 0.5 * chirp * a2)
+    phase = p1 + step * np.arange(math.ceil((p2 - p1) / step))
+    edges = np.sort(np.concatenate([
+        w0 * np.arange(math.ceil(a1 / w0)),
+        2.0 * phase / (rate + np.sqrt(rate * rate + 2.0 * chirp * phase)),
+        a2 + floor * np.arange(math.ceil((upper - a2) / floor)),
+        [upper],
+    ]))
+    keep = np.ones(len(edges), dtype=bool)
+    keep[1:] = edges[1:] > edges[:-1]
+    return edges[keep]
+
+
+class TestInitialEdges:
+    """The pieces, built in order and sorted only where they meet, give the
+    edges that sorting all of them gives, bit for bit."""
+
+    @pytest.mark.parametrize("upper", [1e-300, 1e-3, 0.3, 16.151673058267946, 40.0, 1e5, 1e300])
+    @pytest.mark.parametrize("rate", [0.0, 0.02, 1.0, 4.0, 20.0, 1e3])
+    @pytest.mark.parametrize("chirp", [0.0, 1e-3, 0.5, 4.0, 40.0, 1e4])
+    def test_bitwise_equal_to_sorting_every_piece(self, upper, rate, chirp):
+        edges = _initial_edges(upper, rate, chirp)
+        want = sorted_edges(upper, rate, chirp)
+        assert edges.dtype == want.dtype and edges.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("upper,rate", [(512.9813871972761, 71.79993892550789),
+                                            (85.7420631900677, 42.868847190579906)])
+    def test_an_edge_rounded_onto_upper_is_dropped(self, upper, rate):
+        # the last uniform edge, w0 (ceil(upper / w0) - 1), rounds onto upper:
+        # the one seam that needs the sort
+        w0 = 6.0 * math.pi / rate
+        assert w0 * (math.ceil(upper / w0) - 1) == upper
+        edges = _initial_edges(upper, rate, 0.0)
+        assert edges.tobytes() == sorted_edges(upper, rate, 0.0).tobytes()
+        assert np.all(np.diff(edges) > 0.0) and edges[-1] == upper
+
+    def test_sweep_covers_every_piece(self):
+        # rate 1 and chirp 1e4 on [0, 40]: phase and floor pieces (a2 < upper,
+        # more than 8,000 floor-wide panels); chirp 0: the uniform piece alone
+        floor = 40.0 / 8192.0
+        widths = np.diff(_initial_edges(40.0, 1.0, 1e4))
+        assert np.sum(np.isclose(widths, floor, rtol=1e-9)) > 8000
+        assert widths.max() > 2.0 * floor
+        assert np.all(np.diff(_initial_edges(40.0, 4.0, 0.0)) == 40.0 / 64.0)
 
 
 class TestRule:
