@@ -3,9 +3,9 @@
 
 Covers every file of the seven `reproduce-figure` runs, the CSV and the
 `--json` document of a fixed set of table runs (each subcommand and gp
-mode, both evaluation routes, the dip report, a non-unit cutoff, a
-non-finite snapshot time), and the `--help` text of the parser and of
-each subcommand.  All runs go in-process through `neqbath.cli.main`, in
+mode, both evaluation routes, the GP on both profiles, the dip report, a
+non-unit cutoff, a non-finite snapshot time), and the `--help` text of
+the parser and of each subcommand.  All runs go in-process through `neqbath.cli.main`, in
 a temporary directory.
 Run it on two trees and diff the maps: equal maps mean byte-identical
 outputs.  The map has one entry per line in a fixed order, so `diff`
@@ -41,6 +41,7 @@ TABLE_RUNS = [
     "gp --mode surface --gamma-grid 0:0.5:0.25",
     "gp --mode lambda --lambda-grid 0:2:0.5",
     "gp --mode gamma --gamma-grid 0:0.2:0.05",
+    "gp --profile quadratic",
     "mc --n-modes 128 --n-trajectories 16 --horizon 2",
     "mc --n-modes 256 --n-trajectories 4 --horizon 1 --seed 7 --ohmicity 3",
     "pdist",

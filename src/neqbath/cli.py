@@ -240,10 +240,7 @@ def _decoherence_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
     """|F| on cfg.grid, with a dip report when args.dip is set."""
     if not (args.tol > 0 and math.isfinite(args.tol)):
         raise ConfigError(f"tol must be finite and positive, got {args.tol}")
-    times = grid_array(cfg.grid)
-    if times[0] < 0:
-        raise ConfigError("time grid must start at t >= 0")
-    curve = decoherence_factor(times, cfg.bath_config(), tol=args.tol,
+    curve = decoherence_factor(grid_array(cfg.grid), cfg.bath_config(), tol=args.tol,
                                method=args.method)
     columns = {"t": curve.times, "F": curve.values, "err": curve.errors,
                "method": np.full(len(curve.times), curve.method)}

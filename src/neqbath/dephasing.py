@@ -189,6 +189,37 @@ def _osc_cutoff(n: int, log_target: float, s0: float, s1: float, cut: float) -> 
     return min(x, _tail_cutoff(n, log_target)) if log_c > n * math.log(last) - last else x
 
 
+def _tail(x: float, n: int, s0: float, s1: float, sign: float, cut: float,
+          log_scale: float, phase: float):
+    """The oscillating part's tail past x = W / cutoff as (terms, log charge): the
+    terms are added to beta, and the charge bounds what they leave of the tail.
+
+    By parts twice (h = g / phi', k = h' / phi', phase = phi(W), sign that of phi'):
+
+        int_W^inf g cos phi = -h sin phi(W) - k cos phi(W) - int_W^inf k' cos phi,
+
+    whose remainder is at most 2 |m(W)|, m = k'/phi', where m keeps its sign and falls
+    in size on [W, inf).  In x, with G = e^log_scale x^n e^-x (g per unit x) and
+    r = cutoff (s0 + s1 W) = |phi'| / 2, 4 |m| = G'' / r^3 - 3 G' r' / r^4 + 3 G r'^2 / r^5;
+    past the stationary point (r > 0, r' >= 0) and n + 2 sqrt(n), each term is nonnegative
+    and falls: -G' = e^-x x^(n-1) (x - n) from n + sqrt(n), and G'' = e^-x x^(n-2)
+    ((x - n)^2 - n) where y^3 - 3 n y - 2 n > 0, y = x - n.  There that remainder is
+    charged, with the two terms.  Elsewhere, and where it is the smaller, the Gamma bound
+    e^log_scale Gamma(n + 1, x) is charged, with no terms; it is at least G, so it is
+    computed only where the remainder is above G."""
+    u = s0 + s1 * cut * x
+    log_g = log_scale + n * math.log(x) - x
+    log_c = log_scale + _two_term(x, n, s0, s1, cut)[0] \
+        if x >= n + 2.0 * math.sqrt(n) and u > 0.0 else math.inf
+    if log_c > log_g:
+        log_gamma = log_scale + _log_upper_gamma(n, x)
+        if log_gamma < log_c:
+            return 0.0, log_gamma
+    log_r = math.log(cut) + math.log(u)
+    return -(sign * 0.5 * math.exp(log_g - log_r) * math.sin(phase) + 0.25 * math.exp(
+        log_g - 2.0 * log_r) * (n / x - 1.0 - s1 * cut / u) * math.cos(phase)), log_c
+
+
 def beta_quadrature(t: float, config: BathConfig,
                     profile: Optional[PhaseProfile] = None,
                     tol: float = 1e-10,
@@ -197,24 +228,14 @@ def beta_quadrature(t: float, config: BathConfig,
 
     A profile, if given, replaces the config's profile kind and delay.  With
     a = 1 - e^-2Dt, beta is gamma n! a (the smooth part), plus beta_integrand's
-    g cos phi over [0, W], plus the tail, by parts twice (h = g / phi', k = h' / phi'):
-
-        int_W^inf g cos phi = -h sin phi(W) - k cos phi(W) - int_W^inf k' cos phi,
-
-    whose remainder is at most 2 |m(W)|, m = k'/phi', where m keeps its sign and falls
-    in size on [W, inf).  In x = w / cutoff, with G = gamma e^-2Dt a x^n e^-x and
-    r = cutoff (s0 + s1 W) = |phi'| / 2, 4 |m| = G'' / r^3 - 3 G' r' / r^4 + 3 G r'^2 / r^5;
-    past the stationary point (r > 0, r' >= 0) and n + 2 sqrt(n), each term is nonnegative
-    and falls: -G' = e^-x x^(n-1) (x - n) from n + sqrt(n), and G'' = e^-x x^(n-2)
-    ((x - n)^2 - n) where y^3 - 3 n y - 2 n > 0, y = x - n.  The tail is charged the least
-    bound that holds at W: that one, with the two terms; G / r = 2 g / |phi'| (x >= n,
-    r > 0); gamma e^-2Dt a Gamma(n + 1, x).  W, unless omega_max fixes it, is where the
-    bound is tol / 10 (_osc_cutoff).  The error adds the panels', the tail's and 5 eps gamma
-    n! a, the smooth part's rounding (-expm1 in an ulp; its argument, n! and two products
-    eps / 2 each; eps per sum, at most twice it).  ConvergenceError, with the best estimate
-    attached, if the first two miss tol or the integrand or its phase bound overflows.  At
-    an oscillating weight gamma e^-2Dt a n! <= tol / 10, the smooth part is returned with
-    that weight and its rounding as its error."""
+    g cos phi over [0, W] (the body), plus the tail past W (_tail).  W, unless omega_max
+    fixes it, is where the tail's bound is tol / 10 (_osc_cutoff).  The error adds the
+    body's, the tail's and 5 eps gamma n! a, the smooth part's rounding (-expm1 in an
+    ulp; its argument, n! and two products eps / 2 each; eps per sum, at most twice it).
+    ConvergenceError, with the best estimate attached, if the first two miss tol or the
+    integrand or its phase bound overflows.  At an oscillating weight
+    gamma e^-2Dt a n! <= tol / 10, the smooth part is returned with that weight and its
+    rounding as its error."""
     if profile is not None:
         config = dataclasses.replace(config, phase_profile=profile.kind,
                                      phase_lambda=profile.lam)
@@ -253,19 +274,7 @@ def beta_quadrature(t: float, config: BathConfig,
             tol=(1.0 - _TAIL_SHARE) * tol, rate=2.0 * abs(s0), chirp=2.0 * s1)
     except ValueError as exc:  # the integrand overflowed
         raise ConvergenceError(f"beta({t}) quadrature failed: {exc}") from exc
-    log_g = log_scale + n * math.log(x) - x  # log G(x), below the Gamma bound
-    log_tail, terms, u = math.inf, 0.0, s0 + s1 * cut * x
-    if x >= n and u > 0.0:
-        log_r = math.log(cut) + math.log(u)
-        log_tail = log_g - log_r
-        log_c = log_scale + _two_term(x, n, s0, s1, cut)[0] \
-            if x >= n + 2.0 * math.sqrt(n) else math.inf
-        if log_c < log_tail:
-            log_tail, phase = log_c, 2.0 * (omega_max * t - lam * reach)
-            terms = -(sign * 0.5 * math.exp(log_g - log_r) * math.sin(phase) + 0.25 * math.exp(
-                log_g - 2.0 * log_r) * (n / x - 1.0 - s1 * cut / u) * math.cos(phase))
-    if log_tail > log_g and (log_gamma := log_scale + _log_upper_gamma(n, x)) < log_tail:
-        log_tail, terms = log_gamma, 0.0
+    terms, log_tail = _tail(x, n, s0, s1, sign, cut, log_scale, 2.0 * (omega_max * t - lam * reach))
     error = res.error + math.exp(log_tail)
     res = QuadratureResult(value=smooth + res.value + terms, error=error + rounding,
                            subdivisions=res.subdivisions, converged=error <= tol)

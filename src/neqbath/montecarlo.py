@@ -10,16 +10,20 @@ Each trajectory's phase is read at its endpoint,
 
   phi(t) = sum_k c_k [sin(w_k t + th_k + x_k(t)) - sin(th_k)],
 
-which is Gaussian over the ensemble with second cumulant exactly beta(t)
-for the couplings above.  The deterministic part w_k t + th_k is reduced
-to [-pi, pi] in float64 once per run, as atan2(sin x, cos x), which is
-exact for every finite x, and stored as a float32 table (n_modes x
-n_times, shared by every worker); each trajectory adds its paths in
-float64, rounds once to float32 and takes the sine in float32.  Per mode
-that is within 2^-24 (|arg| + 4) of the float64 sine, arg being the
-float32 argument, so |dphi| <= sum_k |c_k| 2^-23 (max |arg| + 1) once
-max |arg| >= 2: about 3e-7 at the criterion-8 size, against a sampling
-error near 5e-3.
+where x_k(t) sums exact N(0, 2 D dt) increments: each grid time is sampled
+exactly, and dt only chooses where F is read.  Over the ensemble,
+Var(phi) / 2 = 1/4 sum_k c_k^2 (1 - e)(1 + e cos 2(w_k t + th_k)) with
+e = exp(-2 D t), the midpoint-rule sum for beta(t); it equals beta, and phi
+is Gaussian, only in the many-mode limit.
+
+The deterministic part w_k t + th_k is reduced to [-pi, pi] in float64
+once per run, as atan2(sin x, cos x), which is exact for every finite x,
+and stored as a float32 table (n_modes x n_times, shared by every worker);
+each trajectory adds its paths in float64, rounds once to float32 and
+takes the sine in float32.  Per mode that is within 2^-24 (|arg| + 4) of
+the float64 sine, arg being the float32 argument, so |dphi| <= sum_k |c_k|
+2^-23 (max |arg| + 1) once max |arg| >= 2: about 3e-7 at the criterion-8
+size, against a sampling error near 5e-3.
 
 Seeding is counter-based (Philox): trajectory m draws from counter
 block m << 64, so results are independent of evaluation order and
@@ -204,16 +208,6 @@ def mc_decoherence_factor(config: BathConfig, ensemble: EnsembleConfig) -> Decoh
                          "spreads the phase paths past float32's range")
     omega_max = ensemble.omega_max or 20.0 * config.cutoff
     bath = discretize_bath(config, ensemble.n_modes, omega_max)
-
-    dt_max = 0.1 / max(omega_max, config.diffusion)
-    if ensemble.dt > dt_max * (1.0 + 1e-9):
-        warnings.warn(
-            f"dt = {ensemble.dt} is coarse for omega_max = {omega_max:.3g}, "
-            f"D = {config.diffusion}; resolve faster than {dt_max:.3g} to "
-            "keep discretization bias below the sampling noise",
-            stacklevel=2,
-        )
-
     nt = int(round(ensemble.horizon / ensemble.dt))
     times = np.arange(nt + 1) * ensemble.dt
     m_total = ensemble.n_trajectories

@@ -166,6 +166,14 @@ class TestDecoherenceCommand:
         assert code == 3
         assert "convergence" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("profile", ["linear", "quadratic"])
+    def test_negative_grid_exits_2_naming_the_time(self, profile, tmp_path, capsys):
+        code = run_cli(["decoherence", "--profile", profile, "--grid=-1:1:0.5",
+                        "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "times must be >= 0, got -1.0" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestConfigHandling:
     def test_file_then_flag_precedence(self, tmp_path):

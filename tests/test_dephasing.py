@@ -21,8 +21,11 @@ from neqbath.cli import grid_array
 from neqbath.dephasing import (
     METHOD_CLOSED,
     METHOD_QUADRATURE,
+    _TAIL_SHARE,
     DecoherenceCurve,
     _log_upper_gamma,
+    _osc_cutoff,
+    _tail,
     _tail_cutoff,
     beta_closed,
     beta_integrand,
@@ -567,7 +570,7 @@ class TestQuadraticReference:
 
 
 class TestTailBound:
-    """The tail bound beta_quadrature charges past its cut-off W covers what
+    """The tail bound _tail charges at beta_quadrature's cut-off W covers what
     its two integration-by-parts terms leave of the oscillating part's true
     tail: the distance of the terms from its integral over [W, W + 60 cutoff]
     at 40 digits, plus the Gamma bound past that."""
@@ -609,29 +612,31 @@ class TestTailBound:
             return float(c.gamma * amp * mp.re(j_n(x_lo) - j_n(x_hi))), float(
                 c.gamma * amp * mp.gammainc(n + 1, x_hi))
 
-    def charged(self, monkeypatch, t, c, tol):
-        """(W / cutoff, the tail bound charged, the terms added, the Gamma bound at W)."""
-        seen = []
-        inner = dephasing.integrate_semi_infinite
-        monkeypatch.setattr(dephasing, "integrate_semi_infinite", lambda f, upper, **kw: (
-            seen.append((upper, inner(f, upper, **kw))) or seen[-1][1]))
-        res = beta_quadrature(t, c, tol=tol)
-        (upper, quad), = seen
-        x = upper / c.cutoff
+    @staticmethod
+    def tail_at_cutoff(c, t, tol):
+        """(W / cutoff, _tail's terms and charge at beta_quadrature's cut-off W, the
+        Gamma bound at W).  phi' = 2 sign (s0 + s1 w) past the stationary point:
+        s0 = |t - lam|, s1 = 0 on the linear profile, s0 = -t, s1 = 2 lam, sign -1
+        on the quadratic one."""
+        n, cut, lam = c.ohmicity, c.cutoff, c.phase_lambda
         a = -math.expm1(-2.0 * c.diffusion * t)
-        smooth = c.gamma * (math.factorial(c.ohmicity) * a)
-        gamma_bound = c.gamma * math.exp(-2.0 * c.diffusion * t) * a * math.exp(
-            _log_upper_gamma(c.ohmicity, x))
-        # the error less the panels' and the smooth term's rounding
-        charged = res.error - quad.error - 5.0 * math.ulp(1.0) * smooth
-        return x, charged, res.value - smooth - quad.value, gamma_bound
+        log_scale = math.log(c.gamma) + math.log(math.exp(-2.0 * c.diffusion * t) * a)
+        if c.phase_profile == "linear":
+            s0, s1, sign = abs(t - lam), 0.0, math.copysign(1.0, t - lam)
+        else:
+            s0, s1, sign = -t, 2.0 * lam, -1.0
+        x = _osc_cutoff(n, math.log(_TAIL_SHARE) + math.log(tol) - log_scale, s0, s1, cut)
+        w = cut * x
+        phase = 2.0 * (w * t + float(PhaseProfile(c)(w)))
+        terms, log_charge = _tail(x, n, s0, s1, sign, cut, log_scale, phase)
+        return x, terms, math.exp(log_charge), math.exp(log_scale + _log_upper_gamma(n, x))
 
-    def assert_covered(self, monkeypatch, t, c, tol):
-        x, charged, terms, gamma_bound = self.charged(monkeypatch, t, c, tol)
+    def assert_covered(self, t, c, tol):
+        x, terms, charge, gamma_bound = self.tail_at_cutoff(c, t, tol)
         near, far = self.oscillating_integral(c, t, x, x + 60.0)
         # the two-term remainder is the bound charged, with its terms, and it holds
-        assert terms != 0.0 and charged < gamma_bound
-        assert abs(near - terms) + far <= charged, (t, near, terms, far, charged)
+        assert terms != 0.0 and charge < gamma_bound
+        assert abs(near - terms) + far <= charge, (t, near, terms, far, charge)
 
     @pytest.mark.parametrize("params,phase", [
         (FIG3, lambda x: 2 * (x * 2 - x * x)),  # t = 2, lam = cutoff = 1
@@ -649,32 +654,45 @@ class TestTailBound:
 
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("t", [0.5, 2.0, 5.0, 10.0])
-    def test_figure3_tail_is_covered(self, monkeypatch, n, t):
-        self.assert_covered(monkeypatch, t, cfg(FIG3, ohmicity=n), 1e-10)
+    def test_figure3_tail_is_covered(self, n, t):
+        self.assert_covered(t, cfg(FIG3, ohmicity=n), 1e-10)
 
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("t", [0.5, 2.0, 5.0])
-    def test_figure3_tail_is_covered_at_the_gp_inner_tol(self, monkeypatch, n, t):
+    def test_figure3_tail_is_covered_at_the_gp_inner_tol(self, n, t):
         # the GP takes beta at gamma = 1 and tol 1e-12 / gamma, gamma = 3 in figure 3
-        self.assert_covered(monkeypatch, t, cfg(FIG3, gamma=1.0, ohmicity=n), 1e-12 / 3.0)
+        self.assert_covered(t, cfg(FIG3, gamma=1.0, ohmicity=n), 1e-12 / 3.0)
 
-    def test_linear_quadrature_tail_is_covered(self, monkeypatch):
+    def test_linear_quadrature_tail_is_covered(self):
         # decoherence --method quadrature --tol 1e-8 at t = 2, the CLI defaults
-        self.assert_covered(monkeypatch, 2.0, cfg(FIG2), 1e-8)
+        self.assert_covered(2.0, cfg(FIG2), 1e-8)
 
     @pytest.mark.parametrize("t", [1.0, 5.0])
-    def test_linear_tail_is_covered_on_both_sides_of_the_delay(self, monkeypatch, t):
+    def test_linear_tail_is_covered_on_both_sides_of_the_delay(self, t):
         # lam = 3: phi' = 2 (t - lam) is negative at t = 1, and the h term turns
-        self.assert_covered(monkeypatch, t, cfg(FIG2, phase_lambda=3.0), 1e-8)
+        self.assert_covered(t, cfg(FIG2, phase_lambda=3.0), 1e-8)
 
     @pytest.mark.parametrize("cutoff", [0.37, 3.0])
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("t", [0.5, 2.0, 5.0])
-    def test_quadratic_tail_is_covered_off_unit_cutoff(self, monkeypatch, cutoff, n, t):
-        self.assert_covered(monkeypatch, t, cfg(FIG3, cutoff=cutoff, ohmicity=n), 1e-10)
+    def test_quadratic_tail_is_covered_off_unit_cutoff(self, cutoff, n, t):
+        self.assert_covered(t, cfg(FIG3, cutoff=cutoff, ohmicity=n), 1e-10)
 
-    def test_linear_tail_is_covered_off_unit_cutoff(self, monkeypatch):
-        self.assert_covered(monkeypatch, 2.0, cfg(FIG2, cutoff=3.0), 1e-8)
+    def test_linear_tail_is_covered_off_unit_cutoff(self):
+        self.assert_covered(2.0, cfg(FIG2, cutoff=3.0), 1e-8)
+
+    @pytest.mark.parametrize("profile", ["linear", "quadratic"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_charge_meets_the_tail_share_at_the_cutoff(self, profile, n):
+        # W is where the two-term or the Gamma bound meets tol / 10, and _tail
+        # charges the smaller of the two, so no third bound is needed.  W is a
+        # root of the log charge, which rounds within |log charge| eps < 1e-14
+        for cutoff in (0.37, 1.0, 3.0):
+            c = cfg(FIG3 if profile == "quadratic" else FIG2, ohmicity=n, cutoff=cutoff)
+            for t in np.linspace(0.5, 10.0, 20):
+                for tol in (1e-12, 1e-10, 1e-8, 1e-6):
+                    charge = self.tail_at_cutoff(c, float(t), tol)[2]
+                    assert charge <= _TAIL_SHARE * tol * (1.0 + 1e-13), (cutoff, t, tol, charge)
 
 
 class TestDispatch:
