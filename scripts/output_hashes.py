@@ -4,8 +4,9 @@
 Covers every file of the seven `reproduce-figure` runs, the CSV and the
 `--json` document of a fixed set of table runs (each subcommand and gp
 mode, both evaluation routes, the GP on both profiles, the dip report, a
-non-unit cutoff, a non-finite snapshot time), and the `--help` text of
-the parser and of each subcommand.  All runs go in-process through `neqbath.cli.main`, in
+non-unit cutoff, a non-finite snapshot time), the same for each table
+subcommand run on one config file that holds every RunConfig field, and
+the `--help` text of the parser and of each subcommand.  All runs go in-process through `neqbath.cli.main`, in
 a temporary directory.
 Run it on two trees and diff the maps: equal maps mean byte-identical
 outputs.  The map has one entry per line in a fixed order, so `diff`
@@ -47,6 +48,20 @@ TABLE_RUNS = [
     "pdist",
     "pdist --times 0.1,inf --nx 33",
 ]
+# a config file with every RunConfig field off its default; each subcommand
+# reads its own fields from it, and a flag beats the file
+STUDY = {"gamma": 0.7, "cutoff": 1.5, "diffusion": 0.2, "phase_lambda": 0.5,
+         "ohmicity": 3, "profile": "linear", "theta0": 1.0, "grid": [0, 2, 0.25],
+         "seed": 5, "n_modes": 128, "n_trajectories": 4, "dt": 0.05, "horizon": 1.0,
+         "times": [0.2, 1.0], "nx": 17, "theta0_grid": [0.5, 1.5, 0.5],
+         "gamma_grid": [0, 0.4, 0.2], "lambda_grid": [0, 1, 0.5], "mode": "surface"}
+CONFIG_RUNS = [
+    "decoherence --config study.json",
+    "gp --config study.json",
+    "gp --config study.json --mode point",
+    "mc --config study.json",
+    "pdist --config study.json",
+]
 HELP_RUNS = ["", "decoherence", "gp", "mc", "pdist", "reproduce-figure"]
 
 
@@ -68,10 +83,13 @@ def hashes(tmp: Path) -> dict:
         run(["reproduce-figure", str(number), "--out-dir", str(fig_dir)])
         for path in sorted(fig_dir.iterdir()):
             out[f"reproduce-figure {number}: {path.name}"] = digest(path)
-    for i, line in enumerate(TABLE_RUNS):
+    study = tmp / "study.json"
+    study.write_text(json.dumps(STUDY))
+    for i, line in enumerate(TABLE_RUNS + CONFIG_RUNS):
+        argv = [str(study) if a == study.name else a for a in line.split()]
         for form, flags in (("csv", []), ("json", ["--json"])):
             path = tmp / f"run{i}.{form}"
-            run(line.split() + flags + ["--out", str(path)])
+            run(argv + flags + ["--out", str(path)])
             out[f"{line} [{form}]"] = digest(path)
     for command in HELP_RUNS:
         text = io.StringIO()

@@ -18,7 +18,7 @@ def main():
                     help="regenerate a single figure number")
     args = ap.parse_args()
 
-    numbers = [args.only] if args.only else range(1, 8)
+    numbers = [args.only] if args.only is not None else range(1, 8)
     for number in numbers:
         print(f"--- figure {number} ---")
         code = cli_main(["reproduce-figure", str(number),

@@ -162,8 +162,6 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         for name, kind in _KINDS.items():
             if name in given:
                 setattr(cfg, name, _value(name, kind, given[name]))
-    if not (0.0 <= cfg.theta0 <= math.pi):
-        raise ConfigError(f"theta0 must lie in [0, pi], got {cfg.theta0}")
     return cfg
 
 
@@ -214,11 +212,16 @@ def write_table(out: Optional[str], table: _Table, json_mode: bool):
         fh.write("".join(f"# {c}\n" for c in table.comments))
 
 
+# the RunConfig fields of the bath, which every subcommand but pdist reads
+_BATH = ("gamma", "cutoff", "diffusion", "phase_lambda", "ohmicity", "profile")
+# the RunConfig fields of one MC run, as EnsembleConfig takes them
+_MC_RUN = ("seed", "n_modes", "n_trajectories", "dt", "horizon")
+
+
 def _metadata(cfg: RunConfig, command: str, *names: str) -> dict:
-    """The command, the version, the bath fields and the named RunConfig fields."""
-    bath = ("gamma", "cutoff", "diffusion", "phase_lambda", "ohmicity", "profile")
+    """The command, the version and the named RunConfig fields: those the run read."""
     return {"command": command, "version": __version__,
-            **{name: getattr(cfg, name) for name in bath + names}}
+            **{name: getattr(cfg, name) for name in names}}
 
 
 class _Table(NamedTuple):
@@ -238,8 +241,6 @@ class _Table(NamedTuple):
 # its subcommand, for the options that are not run parameters.
 def _decoherence_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
     """|F| on cfg.grid, with a dip report when args.dip is set."""
-    if not (args.tol > 0 and math.isfinite(args.tol)):
-        raise ConfigError(f"tol must be finite and positive, got {args.tol}")
     curve = decoherence_factor(grid_array(cfg.grid), cfg.bath_config(), tol=args.tol,
                                method=args.method)
     columns = {"t": curve.times, "F": curve.values, "err": curve.errors,
@@ -258,7 +259,7 @@ def _decoherence_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
             extra["dip"] = {"t": found.time, "F": found.value,
                             "prominence": found.prominence}
     return _Table(columns, comments,
-                  _metadata(cfg, "decoherence", "grid"), extra)
+                  _metadata(cfg, "decoherence", *_BATH, "grid"), extra)
 
 
 def _gp_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
@@ -269,7 +270,7 @@ def _gp_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
         res = geometric_phase(bath, th)
         columns = {"theta0": th, "phi_g": res.phi_g, "phi_u": res.phi_u,
                    "delta": res.delta, "err": res.tol}
-        return _Table(columns, [], _metadata(cfg, "gp", "mode", "theta0"), {})
+        return _Table(columns, [], _metadata(cfg, "gp", *_BATH, "mode", "theta0"), {})
     if cfg.mode == "surface":
         th = grid_array(cfg.theta0_grid)
         ga = grid_array(cfg.gamma_grid)
@@ -279,7 +280,7 @@ def _gp_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
                    "delta_phi_norm": np.where(finite, ratio, np.nan),
                    "note": np.where(finite, "", "undefined-normalization")}
         return _Table(columns, [],
-                      _metadata(cfg, "gp", "mode", "theta0_grid", "gamma_grid"), {})
+                      _metadata(cfg, "gp", *_BATH, "mode", "theta0_grid", "gamma_grid"), {})
     if cfg.mode == "lambda":
         th = grid_array(cfg.theta0_grid)
         lams = grid_array(cfg.lambda_grid)
@@ -297,7 +298,7 @@ def _gp_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
                  "monotone": [bool(b) for b in sweep.monotone],
                  "max_increase": [float(v) for v in sweep.max_increase]}
         return _Table(columns, comments,
-                      _metadata(cfg, "gp", "mode", "theta0_grid", "lambda_grid"), extra)
+                      _metadata(cfg, "gp", *_BATH, "mode", "theta0_grid", "lambda_grid"), extra)
     ga = grid_array(cfg.gamma_grid)
     exact, pred = gamma_comparison(bath, cfg.theta0, ga)
     coeff = first_order_coefficient(bath)
@@ -307,22 +308,21 @@ def _gp_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
         "phi_g_pred uses the paper's asymptotic coefficient"
     ]
     return _Table({"gamma": ga, "phi_g": exact, "phi_g_pred": pred}, comments,
-                  _metadata(cfg, "gp", "mode", "theta0", "gamma_grid"),
+                  _metadata(cfg, "gp", *_BATH, "mode", "theta0", "gamma_grid"),
                   {"first_order_coefficient": coeff})
 
 
 def _mc_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
     """The Monte Carlo curve beside the analytic one."""
     bath = cfg.bath_config()
-    run = ("seed", "n_modes", "n_trajectories", "dt", "horizon")
-    mc = mc_decoherence_factor(bath, EnsembleConfig(**{k: getattr(cfg, k) for k in run}))
+    mc = mc_decoherence_factor(bath, EnsembleConfig(**{k: getattr(cfg, k) for k in _MC_RUN}))
     analytic = decoherence_factor(mc.times, bath)
     dev = mc.values - analytic.values
     max_dev = float(np.max(np.abs(dev)))
     return _Table({"t": mc.times, "F_mc": mc.values, "stderr": mc.errors,
                    "F_analytic": analytic.values, "dev": dev},
                   [f"max|F_mc - F_analytic| = {_fmt(max_dev)}"],
-                  _metadata(cfg, "mc", *run),
+                  _metadata(cfg, "mc", *_BATH, *_MC_RUN),
                   {"max_abs_dev": max_dev})
 
 
@@ -337,7 +337,7 @@ def _pdist_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
                         for t in cfg.times])
     return _Table({"t": np.repeat(cfg.times, cfg.nx),
                    "x": np.tile(x, len(cfg.times)), "P": p}, [],
-                  _metadata(cfg, "pdist", "times", "nx"), {})
+                  _metadata(cfg, "pdist", "diffusion", "times", "nx"), {})
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -398,18 +398,15 @@ def cmd_reproduce_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-# table subcommand -> (help, table function, its own RunConfig fields);
-# each also takes the shared fields, and each field is the flag --name
+# table subcommand -> (help, table function, the RunConfig fields it reads);
+# each field is the flag --name, so no flag is one its subcommand ignores
 _COMMANDS = {
-    "decoherence": ("|F(t)| over a time grid", _decoherence_table, ("grid",)),
+    "decoherence": ("|F(t)| over a time grid", _decoherence_table, _BATH + ("grid",)),
     "gp": ("geometric phase over one quasi-cycle", _gp_table,
-           ("mode", "theta0_grid", "gamma_grid", "lambda_grid")),
-    "mc": ("Monte Carlo curve vs analytic", _mc_table,
-           ("n_modes", "n_trajectories", "dt", "horizon")),
-    "pdist": ("phase distribution snapshots", _pdist_table, ("times", "nx")),
+           _BATH + ("theta0", "mode", "theta0_grid", "gamma_grid", "lambda_grid")),
+    "mc": ("Monte Carlo curve vs analytic", _mc_table, _BATH + _MC_RUN),
+    "pdist": ("phase distribution snapshots", _pdist_table, ("diffusion", "times", "nx")),
 }
-_SHARED = ("gamma", "cutoff", "diffusion", "phase_lambda", "ohmicity", "theta0",
-           "profile", "seed")
 # argparse reads each kind of flag into the form a config file holds
 _FLAG_TYPES = {"float": float, "int": int, "str": str,
                "grid": lambda text: text.split(":"),
@@ -429,13 +426,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (text, table, own) in _COMMANDS.items():
+    for command, (text, table, names) in _COMMANDS.items():
         p = sub.add_parser(command, help=text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output path ('-' or omitted: stdout)")
         p.add_argument("--json", action="store_true",
                        help="emit a JSON document instead of CSV")
-        for name in _SHARED + own:
+        for name in names:
             p.add_argument("--" + name.replace("_", "-"),
                            type=_FLAG_TYPES[_KINDS[name]],
                            choices=_CHOICES.get(name), help=_HELP.get(name))

@@ -297,6 +297,8 @@ def beta_values(times, config: BathConfig, tol: float,
     eps (4 beta + 2 (n + 1) gamma n! a (1 - a)) with a = 1 - exp(-2 D t),
     plus 2^-1073 gamma n! where a is subnormal; the quadrature's, to tol.
     """
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     ta = np.asarray(times, dtype=float)
     if ta.ndim != 1:
         raise ValueError("times must be a 1-D array")

@@ -142,10 +142,12 @@ def _cycle_corrections(config: BathConfig, theta0s, gammas, tol: float):
     for start in range(0, len(rows), _COMPONENTS):
         i, j = rows[start:start + _COMPONENTS], cols[start:start + _COMPONENTS]
         theta0, gamma = th[i, None], g[j, None]
+        # finite where the largest gamma is so small that 1e-12 / gamma overflows
+        beta_tol = min(1e-12 / float(gamma.max()), np.finfo(float).max)
 
         def integrand(ts):
             with np.errstate(over="ignore"):  # gamma beta past the largest double: F = 0
-                factor = np.exp(-gamma * beta_values(ts, unit, 1e-12 / gamma.max())[0])
+                factor = np.exp(-gamma * beta_values(ts, unit, beta_tol)[0])
             return bloch_angle(factor, theta0) ** 2 - np.cos(0.5 * theta0) ** 2
 
         res = integrate_finite(integrand, 0.0, 2.0 * math.pi, tol=tol)

@@ -264,25 +264,103 @@ class TestConfigHandling:
 
 
 # each subcommand's option strings, in --help order; the table subcommands'
-# run-parameter flags are built from the RunConfig fields
-SHARED_OPTIONS = ["-h", "--help", "--config", "--out", "--json", "--gamma", "--cutoff",
-                  "--diffusion", "--phase-lambda", "--ohmicity", "--theta0",
-                  "--profile", "--seed"]
+# run-parameter flags are built from the RunConfig fields each one reads
+OUTPUT_OPTIONS = ["-h", "--help", "--config", "--out", "--json"]
+BATH_OPTIONS = ["--gamma", "--cutoff", "--diffusion", "--phase-lambda", "--ohmicity",
+                "--profile"]
 OPTIONS = {
-    "decoherence": SHARED_OPTIONS + ["--grid", "--dip", "--method", "--tol"],
-    "gp": SHARED_OPTIONS + ["--mode", "--theta0-grid", "--gamma-grid", "--lambda-grid"],
-    "mc": SHARED_OPTIONS + ["--n-modes", "--n-trajectories", "--dt", "--horizon"],
-    "pdist": SHARED_OPTIONS + ["--times", "--nx"],
+    "decoherence": OUTPUT_OPTIONS + BATH_OPTIONS + ["--grid", "--dip", "--method", "--tol"],
+    "gp": OUTPUT_OPTIONS + BATH_OPTIONS + ["--theta0", "--mode", "--theta0-grid",
+                                           "--gamma-grid", "--lambda-grid"],
+    "mc": OUTPUT_OPTIONS + BATH_OPTIONS + ["--seed", "--n-modes", "--n-trajectories", "--dt",
+                                           "--horizon"],
+    "pdist": OUTPUT_OPTIONS + ["--diffusion", "--times", "--nx"],
     "reproduce-figure": ["-h", "--help", "--out-dir"],
 }
 
 
-def test_each_subcommand_keeps_its_flags():
+def subcommand_options():
+    """Each subcommand's option strings, in --help order."""
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    assert list(sub.choices) == list(OPTIONS)
-    for command, parser in sub.choices.items():
-        assert [s for a in parser._actions for s in a.option_strings] == OPTIONS[command]
+    return {command: [s for a in parser._actions for s in a.option_strings]
+            for command, parser in sub.choices.items()}
+
+
+def test_each_subcommand_keeps_its_flags():
+    assert subcommand_options() == OPTIONS
+
+
+# every run-parameter flag of a table subcommand -> (base argv, a value that
+# changes the CSV of the base run; None for a switch).  A flag applies on its
+# own route: --tol on the quadratic profile, each gp grid in its own mode.
+_DECOHERENCE = ["--grid", "0:2:0.5"]
+_GP = ["--theta0-grid", "0:1:0.5", "--gamma-grid", "0:0.2:0.1", "--lambda-grid", "0:2:1"]
+_MC = ["--n-modes", "64", "--n-trajectories", "2", "--horizon", "0.5", "--dt", "0.1"]
+_PDIST = ["--times", "1", "--nx", "5"]
+_BATH_VALUES = {"--gamma": "3", "--cutoff": "2", "--diffusion": "0.5",
+                "--phase-lambda": "2", "--ohmicity": "3", "--profile": "quadratic"}
+FLAG_EFFECTS = {
+    **{(command, flag): (base, value)
+       for command, base in (("decoherence", _DECOHERENCE), ("gp", _GP), ("mc", _MC))
+       for flag, value in _BATH_VALUES.items()},
+    ("decoherence", "--grid"): (_DECOHERENCE, "0:2:0.25"),
+    ("decoherence", "--dip"): (_DECOHERENCE, None),
+    ("decoherence", "--method"): (_DECOHERENCE, "quadrature"),
+    ("decoherence", "--tol"): (["--profile", "quadratic", *_DECOHERENCE], "1e-6"),
+    ("gp", "--theta0"): (_GP, "1"),
+    ("gp", "--mode"): (_GP, "surface"),
+    ("gp", "--theta0-grid"): ([*_GP, "--mode", "surface"], "0:1:0.25"),
+    ("gp", "--gamma-grid"): ([*_GP, "--mode", "surface"], "0:0.2:0.05"),
+    ("gp", "--lambda-grid"): ([*_GP, "--mode", "lambda"], "0:2:0.5"),
+    ("mc", "--seed"): (_MC, "2"),
+    ("mc", "--n-modes"): (_MC, "128"),
+    ("mc", "--n-trajectories"): (_MC, "3"),
+    ("mc", "--dt"): (_MC, "0.05"),
+    ("mc", "--horizon"): (_MC, "1"),
+    ("pdist", "--diffusion"): (_PDIST, "0.5"),
+    ("pdist", "--times"): (_PDIST, "2"),
+    ("pdist", "--nx"): (_PDIST, "9"),
+}
+
+
+class TestEveryFlagIsRead:
+    """A table subcommand takes only the flags its run reads."""
+
+    def test_the_table_holds_every_run_parameter_flag(self):
+        options = subcommand_options()
+        assert set(FLAG_EFFECTS) == {(command, flag) for command in cli._COMMANDS
+                                     for flag in options[command]
+                                     if flag not in OUTPUT_OPTIONS}
+
+    @pytest.mark.parametrize("command,flag", list(FLAG_EFFECTS),
+                             ids=["".join(key) for key in FLAG_EFFECTS])
+    def test_flag_changes_the_csv(self, command, flag, tmp_path):
+        base, value = FLAG_EFFECTS[command, flag]
+        outputs = []
+        for extra in ([], [flag] if value is None else [f"{flag}={value}"]):
+            out = tmp_path / f"run{len(outputs)}.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the small MC ensembles' coverage
+                assert run_cli([command, *base, *extra, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] != outputs[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["pdist", "--gamma", "1"], ["pdist", "--theta0", "1"], ["decoherence", "--seed", "1"],
+        ["decoherence", "--theta0", "4"], ["gp", "--seed", "1"], ["mc", "--theta0", "1"],
+    ])
+    def test_a_flag_the_run_never_reads_is_unknown(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli(argv)
+        assert exc_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["point", "gamma"])
+    def test_theta0_is_checked_where_it_is_read(self, mode, capsys):
+        assert run_cli(["gp", "--mode", mode, "--theta0", "4",
+                        "--gamma-grid", "0:0.2:0.1"]) == 2
+        assert "config error: theta0 must lie in [0, pi], got 4.0" in capsys.readouterr().err
 
 
 # every RunConfig field with a flag: (subcommand, flag, config-file value,
@@ -294,7 +372,7 @@ FIELD_FLAGS = {
     "phase_lambda": ("decoherence", "--phase-lambda", 2.0, "3", 3.0, "x"),
     "ohmicity": ("decoherence", "--ohmicity", 2, "3", 3, 1.5),
     "profile": ("decoherence", "--profile", "quadratic", "linear", "linear", 3),
-    "theta0": ("decoherence", "--theta0", 0.5, "1.5", 1.5, "x"),
+    "theta0": ("gp", "--theta0", 0.5, "1.5", 1.5, "x"),
     "grid": ("decoherence", "--grid", [0, 2, 0.5], "0:1:0.25", (0.0, 1.0, 0.25),
              "0:1:0.5"),
     "seed": ("mc", "--seed", 2, "3", 3, 1.5),
@@ -519,30 +597,31 @@ class TestPdistCommand:
         assert [row[2] for row in inf_rows] == [1.0 / (2.0 * math.pi)] * 5
 
 
-BATH_METADATA = ["command", "version", "gamma", "cutoff", "diffusion", "phase_lambda",
-                 "ohmicity", "profile"]
+BATH_METADATA = ["gamma", "cutoff", "diffusion", "phase_lambda", "ohmicity", "profile"]
 
 
 class TestTableOutput:
     """CSV and --json are written from one set of named columns."""
 
     @pytest.mark.parametrize("argv,keys", [
-        (["decoherence", "--grid", "0:1:0.5"], ["grid"]),
-        (["gp"], ["mode", "theta0"]),
+        (["decoherence", "--grid", "0:1:0.5"], [*BATH_METADATA, "grid"]),
+        (["gp"], [*BATH_METADATA, "mode", "theta0"]),
         (["gp", "--mode", "surface", "--theta0-grid", "0:1:0.5", "--gamma-grid", "0:1:0.5"],
-         ["mode", "theta0_grid", "gamma_grid"]),
+         [*BATH_METADATA, "mode", "theta0_grid", "gamma_grid"]),
         (["gp", "--mode", "lambda", "--theta0-grid", "0:1:0.5", "--lambda-grid", "0:1:0.5"],
-         ["mode", "theta0_grid", "lambda_grid"]),
+         [*BATH_METADATA, "mode", "theta0_grid", "lambda_grid"]),
         (["gp", "--mode", "gamma", "--gamma-grid", "0:0.2:0.1"],
-         ["mode", "theta0", "gamma_grid"]),
+         [*BATH_METADATA, "mode", "theta0", "gamma_grid"]),
         (["mc", "--n-modes", "128", "--n-trajectories", "2", "--horizon", "0.5"],
-         ["seed", "n_modes", "n_trajectories", "dt", "horizon"]),
-        (["pdist", "--times", "1", "--nx", "5"], ["times", "nx"]),
+         [*BATH_METADATA, "seed", "n_modes", "n_trajectories", "dt", "horizon"]),
+        # P(x, t) depends on D alone: pdist builds no bath
+        (["pdist", "--times", "1", "--nx", "5"], ["diffusion", "times", "nx"]),
     ], ids=["decoherence", "gp-point", "gp-surface", "gp-lambda", "gp-gamma", "mc", "pdist"])
     def test_json_metadata_keys_in_order(self, argv, keys, tmp_path):
+        # the command, the version, then the RunConfig fields the run read
         out = tmp_path / "t.json"
         assert run_cli([*argv, "--json", "--out", str(out)]) == 0
-        assert list(json.loads(out.read_text())["metadata"]) == BATH_METADATA + keys
+        assert list(json.loads(out.read_text())["metadata"]) == ["command", "version", *keys]
 
     @pytest.mark.parametrize("argv", [
         ["decoherence", "--dip", "--grid", "0:3:0.1"],
@@ -755,24 +834,26 @@ def _grid(start_hi, step_lo, step_hi, points):
         st.integers(1, points - 1))
 
 
-_FLAGS = {
+# the bath flags, which decoherence, gp and mc take
+_BATH_FLAGS = {
     "--gamma": _number(0.0, 1e300),
     "--cutoff": _number(1e-300, 1e300),
     "--diffusion": _number(0.0, 1e300),
     "--phase-lambda": _number(0.0, 1e300),
     "--ohmicity": st.integers(-1, 250),
-    "--theta0": _number(-1.0, 4.0),
     "--profile": st.sampled_from(["linear", "quadratic"]),
 }
 _COMMAND_FLAGS = {
     "decoherence": {"--grid": _grid(20.0, 0.05, 5.0, 4),
                     "--tol": st.sampled_from([1e-300, 1e-12, 1e-6, 1.0, 1e300]),
                     "--method": st.sampled_from(["closed-form", "quadrature"])},
-    "gp": {"--mode": st.sampled_from(["point", "surface", "lambda", "gamma"]),
+    "gp": {"--theta0": _number(-1.0, 4.0),
+           "--mode": st.sampled_from(["point", "surface", "lambda", "gamma"]),
            "--theta0-grid": _grid(3.0, 0.5, 3.0, 2),
            "--gamma-grid": _grid(2.0, 0.05, 2.0, 3),
            "--lambda-grid": _grid(5.0, 0.1, 5.0, 3)},
-    "pdist": {"--times": st.lists(_number(-1.0, 1e3), min_size=1, max_size=3)
+    "pdist": {"--diffusion": _BATH_FLAGS["--diffusion"],
+              "--times": st.lists(_number(-1.0, 1e3), min_size=1, max_size=3)
               .map(lambda ts: ",".join(repr(t) for t in ts)),
               "--nx": st.integers(-1, 65)},
     "mc": {"--n-modes": st.integers(0, 8), "--n-trajectories": st.integers(0, 4),
@@ -792,7 +873,7 @@ def cli_arguments(draw):
                         "--horizon", "0.5", "--dt", "0.1"]}[command]
     if command == "decoherence":
         argv += ["--grid", "0:2:1"]
-    flags = dict(_FLAGS, **_COMMAND_FLAGS[command])
+    flags = dict({} if command == "pdist" else _BATH_FLAGS, **_COMMAND_FLAGS[command])
     for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True,
                               max_size=4)):
         # flag=value keeps values such as -1e-05 from reading as flags

@@ -744,6 +744,14 @@ class TestDispatch:
             call()
         assert str(exc_info.value) == message
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+    @pytest.mark.parametrize("params", [FIG2, FIG3], ids=["closed-form", "quadrature"])
+    def test_bad_tol_is_named_on_both_routes(self, params, tol):
+        # the closed form formerly ignored tol and returned normally
+        with pytest.raises(ValueError) as exc_info:
+            decoherence_factor(np.array([0.0, 1.0]), cfg(params), tol=tol)
+        assert str(exc_info.value) == f"tol must be finite and positive, got {tol}"
+
     def test_no_diffusion_means_no_decay(self):
         ts = np.arange(0.0, 10.01, 0.5)
         for method in (None, METHOD_QUADRATURE):

@@ -159,6 +159,12 @@ class TestGeometricPhase:
                 with pytest.raises(ValueError, match=match):
                     gamma_comparison(c, 0.7, [c.gamma], tol=bad)
 
+    @pytest.mark.parametrize("profile", ["linear", "quadratic"])
+    def test_subnormal_coupling_keeps_the_inner_tol_finite(self, profile):
+        # 1e-12 / 5e-324 overflows; beta_values refuses an infinite tol
+        res = geometric_phase(cfg(5e-324, phase_profile=profile), 0.7)
+        assert res.delta == 0.0 and res.phi_g == res.phi_u
+
     def test_array_of_states_shares_one_integral(self):
         th = np.array([0.0, 0.3, math.pi / 2.0, 2.5, math.pi])
         for c in (cfg(0.7), cfg(0.7, ohmicity=3, **FIG6)):

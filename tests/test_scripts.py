@@ -24,14 +24,27 @@ def test_every_script_has_a_run():
     assert {script for script, _ in RUNS} == {p.name for p in SCRIPTS.glob("*.py")}
 
 
-@pytest.mark.parametrize("script,argv", RUNS, ids=[script for script, _ in RUNS])
-def test_script_exits_0(script, argv, tmp_path):
+def run_script(script, argv, tmp_path):
     # the child imports the package under test, installed or not
     src = str(Path(neqbath.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(SCRIPTS / script),
          *(a.format(tmp=tmp_path) for a in argv)],
         capture_output=True, text=True, cwd=tmp_path,
         env=dict(os.environ, PYTHONPATH=path))
+
+
+@pytest.mark.parametrize("script,argv", RUNS, ids=[script for script, _ in RUNS])
+def test_script_exits_0(script, argv, tmp_path):
+    proc = run_script(script, argv, tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_reproduce_all_figures_reports_figure_0(tmp_path):
+    # --only 0 formerly read as "not given" and wrote figures 1-7
+    proc = run_script("reproduce_all_figures.py",
+                      ["--only", "0", "--out-dir", "{tmp}/out"], tmp_path)
+    assert proc.returncode == 2
+    assert "figure number must be 1..7, got 0" in proc.stderr
+    assert not (tmp_path / "out").exists()
