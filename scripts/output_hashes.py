@@ -51,7 +51,7 @@ TABLE_RUNS = [
 # a config file with every RunConfig field off its default; each subcommand
 # reads its own fields from it, and a flag beats the file
 STUDY = {"gamma": 0.7, "cutoff": 1.5, "diffusion": 0.2, "phase_lambda": 0.5,
-         "ohmicity": 3, "profile": "linear", "theta0": 1.0, "grid": [0, 2, 0.25],
+         "ohmicity": 3, "profile": "quadratic", "theta0": 1.0, "grid": [0, 2, 0.25],
          "seed": 5, "n_modes": 128, "n_trajectories": 4, "dt": 0.05, "horizon": 1.0,
          "times": [0.2, 1.0], "nx": 17, "theta0_grid": [0.5, 1.5, 0.5],
          "gamma_grid": [0, 0.4, 0.2], "lambda_grid": [0, 1, 0.5], "mode": "surface"}

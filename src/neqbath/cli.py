@@ -399,7 +399,7 @@ def cmd_reproduce_figure(args: argparse.Namespace) -> int:
 
 
 # table subcommand -> (help, table function, the RunConfig fields it reads);
-# each field is the flag --name, so no flag is one its subcommand ignores
+# each field is the flag --name; a subcommand takes the fields some mode reads
 _COMMANDS = {
     "decoherence": ("|F(t)| over a time grid", _decoherence_table, _BATH + ("grid",)),
     "gp": ("geometric phase over one quasi-cycle", _gp_table,

@@ -288,7 +288,7 @@ def subcommand_options():
 
 
 def test_each_subcommand_keeps_its_flags():
-    assert subcommand_options() == OPTIONS
+    assert list(subcommand_options().items()) == list(OPTIONS.items())
 
 
 # every run-parameter flag of a table subcommand -> (base argv, a value that
@@ -341,7 +341,8 @@ class TestEveryFlagIsRead:
         for extra in ([], [flag] if value is None else [f"{flag}={value}"]):
             out = tmp_path / f"run{len(outputs)}.csv"
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # the small MC ensembles' coverage
+                if command == "mc":
+                    warnings.simplefilter("ignore")  # the small ensembles' coverage
                 assert run_cli([command, *base, *extra, "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] != outputs[1]
