@@ -5,9 +5,9 @@ Covers every file of the seven `reproduce-figure` runs, the CSV and the
 `--json` document of a fixed set of table runs (each subcommand and gp
 mode, both evaluation routes, the GP on both profiles, the dip report, a
 non-unit cutoff, a non-finite snapshot time), the same for each table
-subcommand run on one config file that holds every RunConfig field, and
-the `--help` text of the parser and of each subcommand.  All runs go in-process through `neqbath.cli.main`, in
-a temporary directory.
+subcommand and gp mode run on one config file that holds every RunConfig
+field, and the `--help` text of the parser and of each subcommand.  All
+runs go in-process through `neqbath.cli.main`, in a temporary directory.
 Run it on two trees and diff the maps: equal maps mean byte-identical
 outputs.  The map has one entry per line in a fixed order, so `diff`
 names each entry that changed, is missing or is new, and exits 1 if
@@ -59,6 +59,8 @@ CONFIG_RUNS = [
     "decoherence --config study.json",
     "gp --config study.json",
     "gp --config study.json --mode point",
+    "gp --config study.json --mode lambda",
+    "gp --config study.json --mode gamma",
     "mc --config study.json",
     "pdist --config study.json",
 ]

@@ -20,7 +20,7 @@ import contextlib
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -29,8 +29,8 @@ import numpy as np
 from . import __version__
 from .bath import _PROFILE_KINDS, BathConfig, phase_distribution_eval
 from .dephasing import METHOD_CLOSED, METHOD_QUADRATURE, decoherence_factor, find_dip
-from .geomphase import first_order_coefficient, gamma_comparison, \
-    geometric_phase, gp_lambda_sweep, gp_surface
+from .geomphase import cycle_corrections, first_order_coefficient, geometric_phase, \
+    gp_lambda_sweep, perturbative_correction, unitary_phase
 from .montecarlo import EnsembleConfig, mc_decoherence_factor
 from .numerics import ConvergenceError
 
@@ -55,6 +55,7 @@ class RunConfig:
     ohmicity: int = 1
     profile: str = "linear"
     theta0: float = math.pi / 4.0
+    mode: str = "point"
     grid: tuple = (0.0, 10.0, 0.01)
     seed: int = 1
     n_modes: int = 2000
@@ -66,7 +67,6 @@ class RunConfig:
     theta0_grid: tuple = (0.0, math.pi, math.pi / 32.0)
     gamma_grid: tuple = (0.0, 0.5, 0.02)
     lambda_grid: tuple = (0.0, 5.0, 0.25)
-    mode: str = "point"
 
     def bath_config(self) -> BathConfig:
         return BathConfig(
@@ -218,10 +218,9 @@ _BATH = ("gamma", "cutoff", "diffusion", "phase_lambda", "ohmicity", "profile")
 _MC_RUN = ("seed", "n_modes", "n_trajectories", "dt", "horizon")
 
 
-def _metadata(cfg: RunConfig, command: str, *names: str) -> dict:
-    """The command, the version and the named RunConfig fields: those the run read."""
-    return {"command": command, "version": __version__,
-            **{name: getattr(cfg, name) for name in names}}
+def _bath_but(name: str) -> tuple:
+    """The bath fields less one, which a gp mode takes from its own grid."""
+    return tuple(field for field in _BATH if field != name)
 
 
 class _Table(NamedTuple):
@@ -238,8 +237,9 @@ class _Table(NamedTuple):
 
 
 # Each table function takes the merged RunConfig and the parsed flags of
-# its subcommand, for the options that are not run parameters.
-def _decoherence_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
+# its subcommand, for the options that are not run parameters, and returns
+# the table's columns, comment lines and extra JSON entries.
+def _decoherence_table(cfg: RunConfig, args: argparse.Namespace) -> tuple:
     """|F| on cfg.grid, with a dip report when args.dip is set."""
     curve = decoherence_factor(grid_array(cfg.grid), cfg.bath_config(), tol=args.tol,
                                method=args.method)
@@ -258,75 +258,89 @@ def _decoherence_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
             )
             extra["dip"] = {"t": found.time, "F": found.value,
                             "prominence": found.prominence}
-    return _Table(columns, comments,
-                  _metadata(cfg, "decoherence", *_BATH, "grid"), extra)
+    return columns, comments, extra
 
 
-def _gp_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
-    """The geometric-phase table of mode cfg.mode."""
+def _point_table(cfg: RunConfig, args: argparse.Namespace) -> tuple:
+    """phi_g, phi_u and delta of the one state cfg.theta0."""
+    th = np.array([cfg.theta0])
+    res = geometric_phase(cfg.bath_config(), th)
+    return {"theta0": th, "phi_g": res.phi_g, "phi_u": res.phi_u,
+            "delta": res.delta, "err": res.tol}, [], {}
+
+
+def _surface_table(cfg: RunConfig, args: argparse.Namespace) -> tuple:
+    """|delta| / phi_u over (theta0, gamma): NaN, and noted, where phi_u = 0."""
+    th, ga = grid_array(cfg.theta0_grid), grid_array(cfg.gamma_grid)
+    delta = cycle_corrections(cfg.bath_config(), th, ga)[0]
+    phi_u = unitary_phase(th)
+    # dividing by NaN leaves the phi_u = 0 rows NaN without a warning
+    ratio = (np.abs(delta) / np.where(phi_u > 0, phi_u, np.nan)[:, None]).ravel()
+    return {"theta0": np.repeat(th, len(ga)), "gamma": np.tile(ga, len(th)),
+            "delta_phi_norm": ratio,
+            "note": np.where(np.isnan(ratio), "undefined-normalization", "")}, [], {}
+
+
+def _lambda_table(cfg: RunConfig, args: argparse.Namespace) -> tuple:
+    """|delta| over (theta0, lambda), with each theta0's monotonicity."""
+    th, lams = grid_array(cfg.theta0_grid), grid_array(cfg.lambda_grid)
+    sweep = gp_lambda_sweep(cfg.bath_config(), th, lams)
+    columns = {"theta0": np.repeat(th, len(lams)), "lambda": np.tile(lams, len(th)),
+               "delta_phi": sweep.delta_abs.ravel()}
+    comments = [
+        f"monotone theta0={_fmt(t0)}: "
+        + ("yes" if sweep.monotone[i]
+           else f"no (max increase {_fmt(sweep.max_increase[i])})")
+        for i, t0 in enumerate(th)
+    ]
+    return columns, comments, {"theta0_values": [float(v) for v in th],
+                               "monotone": [bool(b) for b in sweep.monotone],
+                               "max_increase": [float(v) for v in sweep.max_increase]}
+
+
+def _gamma_table(cfg: RunConfig, args: argparse.Namespace) -> tuple:
+    """Exact phi_g over gamma beside the paper's first-order phi_g_pred."""
     bath = cfg.bath_config()
-    if cfg.mode == "point":
-        th = np.array([cfg.theta0])
-        res = geometric_phase(bath, th)
-        columns = {"theta0": th, "phi_g": res.phi_g, "phi_u": res.phi_u,
-                   "delta": res.delta, "err": res.tol}
-        return _Table(columns, [], _metadata(cfg, "gp", *_BATH, "mode", "theta0"), {})
-    if cfg.mode == "surface":
-        th = grid_array(cfg.theta0_grid)
-        ga = grid_array(cfg.gamma_grid)
-        ratio = gp_surface(bath, th, ga).ratio.ravel()
-        finite = np.isfinite(ratio)
-        columns = {"theta0": np.repeat(th, len(ga)), "gamma": np.tile(ga, len(th)),
-                   "delta_phi_norm": np.where(finite, ratio, np.nan),
-                   "note": np.where(finite, "", "undefined-normalization")}
-        return _Table(columns, [],
-                      _metadata(cfg, "gp", *_BATH, "mode", "theta0_grid", "gamma_grid"), {})
-    if cfg.mode == "lambda":
-        th = grid_array(cfg.theta0_grid)
-        lams = grid_array(cfg.lambda_grid)
-        sweep = gp_lambda_sweep(bath, th, lams)
-        columns = {"theta0": np.repeat(th, len(lams)),
-                   "lambda": np.tile(lams, len(th)),
-                   "delta_phi": sweep.delta_abs.ravel()}
-        comments = [
-            f"monotone theta0={_fmt(t0)}: "
-            + ("yes" if sweep.monotone[i]
-               else f"no (max increase {_fmt(sweep.max_increase[i])})")
-            for i, t0 in enumerate(th)
-        ]
-        extra = {"theta0_values": [float(v) for v in th],
-                 "monotone": [bool(b) for b in sweep.monotone],
-                 "max_increase": [float(v) for v in sweep.max_increase]}
-        return _Table(columns, comments,
-                      _metadata(cfg, "gp", *_BATH, "mode", "theta0_grid", "lambda_grid"), extra)
     ga = grid_array(cfg.gamma_grid)
-    exact, pred = gamma_comparison(bath, cfg.theta0, ga)
+    phi_u = unitary_phase(cfg.theta0)
+    # the paper's formula, linear in gamma, goes first: an ohmicity it has
+    # no coefficient for is refused before the cycle integral
+    pred = phi_u + ga * perturbative_correction(replace(bath, gamma=1.0), cfg.theta0)
+    exact = phi_u + cycle_corrections(bath, [cfg.theta0], ga)[0][0]
     coeff = first_order_coefficient(bath)
     comments = [
         f"exact first-order coefficient C = {_fmt(coeff)}: phi_g = "
         "phi_u + gamma C sin(theta0)^2 cos(theta0) + O(gamma^2); "
         "phi_g_pred uses the paper's asymptotic coefficient"
     ]
-    return _Table({"gamma": ga, "phi_g": exact, "phi_g_pred": pred}, comments,
-                  _metadata(cfg, "gp", *_BATH, "mode", "theta0", "gamma_grid"),
-                  {"first_order_coefficient": coeff})
+    return {"gamma": ga, "phi_g": exact, "phi_g_pred": pred}, comments, \
+        {"first_order_coefficient": coeff}
 
 
-def _mc_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
+# gp mode -> (table function, the RunConfig fields it reads): the fields its
+# metadata records and the only gp flags it accepts
+_GP_MODES = {
+    "point": (_point_table, _BATH + ("mode", "theta0")),
+    "surface": (_surface_table, _bath_but("gamma") + ("mode", "theta0_grid", "gamma_grid")),
+    "lambda": (_lambda_table,
+               _bath_but("phase_lambda") + ("mode", "theta0_grid", "lambda_grid")),
+    "gamma": (_gamma_table, _bath_but("gamma") + ("mode", "theta0", "gamma_grid")),
+}
+
+
+def _mc_table(cfg: RunConfig, args: argparse.Namespace) -> tuple:
     """The Monte Carlo curve beside the analytic one."""
     bath = cfg.bath_config()
     mc = mc_decoherence_factor(bath, EnsembleConfig(**{k: getattr(cfg, k) for k in _MC_RUN}))
     analytic = decoherence_factor(mc.times, bath)
     dev = mc.values - analytic.values
     max_dev = float(np.max(np.abs(dev)))
-    return _Table({"t": mc.times, "F_mc": mc.values, "stderr": mc.errors,
-                   "F_analytic": analytic.values, "dev": dev},
-                  [f"max|F_mc - F_analytic| = {_fmt(max_dev)}"],
-                  _metadata(cfg, "mc", *_BATH, *_MC_RUN),
-                  {"max_abs_dev": max_dev})
+    return {"t": mc.times, "F_mc": mc.values, "stderr": mc.errors,
+            "F_analytic": analytic.values, "dev": dev}, \
+        [f"max|F_mc - F_analytic| = {_fmt(max_dev)}"], {"max_abs_dev": max_dev}
 
 
-def _pdist_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
+def _pdist_table(cfg: RunConfig, args: argparse.Namespace) -> tuple:
     """P(x, t) on nx points across [-pi, pi] at each snapshot time."""
     if cfg.nx < 2:
         raise ConfigError(f"nx must be >= 2, got {cfg.nx}")
@@ -335,14 +349,44 @@ def _pdist_table(cfg: RunConfig, args: argparse.Namespace) -> _Table:
     x = np.linspace(-math.pi, math.pi, cfg.nx)
     p = np.concatenate([phase_distribution_eval(cfg.diffusion, x, float(t))
                         for t in cfg.times])
-    return _Table({"t": np.repeat(cfg.times, cfg.nx),
-                   "x": np.tile(x, len(cfg.times)), "P": p}, [],
-                  _metadata(cfg, "pdist", "diffusion", "times", "nx"), {})
+    return {"t": np.repeat(cfg.times, cfg.nx), "x": np.tile(x, len(cfg.times)), "P": p}, [], {}
+
+
+# table subcommand -> (help, table function, the RunConfig fields it reads);
+# each field is the flag --name.  gp runs the table of its mode, and takes
+# the fields of every mode in RunConfig order
+_COMMANDS = {
+    "decoherence": ("|F(t)| over a time grid", _decoherence_table, _BATH + ("grid",)),
+    "gp": ("geometric phase over one quasi-cycle", None,
+           tuple(name for name in _KINDS
+                 if any(name in reads for _, reads in _GP_MODES.values()))),
+    "mc": ("Monte Carlo curve vs analytic", _mc_table, _BATH + _MC_RUN),
+    "pdist": ("phase distribution snapshots", _pdist_table, ("diffusion", "times", "nx")),
+}
+
+
+def _table(args: argparse.Namespace) -> _Table:
+    """The table of a decoherence, gp, mc or pdist run, whose metadata is
+    the command, the version and the RunConfig fields the run read.
+
+    A gp run reads the fields of its mode, from --mode or the config file,
+    and refuses a flag of another mode.
+    """
+    cfg = build_run_config(args)
+    _, table, reads = _COMMANDS[args.command]
+    if args.command == "gp":
+        table, reads = _GP_MODES[cfg.mode]
+        for name in _COMMANDS["gp"][2]:
+            if getattr(args, name) is not None and name not in reads:
+                raise ConfigError(f"gp --mode {cfg.mode} does not read --{name.replace('_', '-')}")
+    columns, comments, extra = table(cfg, args)
+    return _Table(columns, comments, {"command": args.command, "version": __version__,
+                                      **{name: getattr(cfg, name) for name in reads}}, extra)
 
 
 def cmd_table(args: argparse.Namespace) -> int:
     """decoherence, gp, mc and pdist: argv -> RunConfig -> table -> output."""
-    write_table(args.out, args.table(build_run_config(args), args), args.json)
+    write_table(args.out, _table(args), args.json)
     return 0
 
 
@@ -365,8 +409,8 @@ _FIGURES = {
     5: ({}, [("fig5_surface", "gp --mode surface --gamma-grid 0:2:0.1 --ohmicity 3")]),
     6: ({"note": "initial state not pinned by the caption; "
                  "theta0 = pi/4 chosen and recorded here"},
-        [("fig6_ohmic", "gp --mode gamma --gamma 0.1 --diffusion 1"),
-         ("fig6_supraohmic", "gp --mode gamma --gamma 0.1 --diffusion 1 --ohmicity 3")]),
+        [("fig6_ohmic", "gp --mode gamma --diffusion 1"),
+         ("fig6_supraohmic", "gp --mode gamma --diffusion 1 --ohmicity 3")]),
     7: ({}, [("fig7_lambda", "gp --mode lambda --gamma 3 --theta0-grid "
               f"{math.pi / 8!r}:{3 * math.pi / 8!r}:{math.pi / 8!r}")]),
 }
@@ -381,8 +425,7 @@ def cmd_reproduce_figure(args: argparse.Namespace) -> int:
     meta_doc = {"figure": args.number, "version": __version__,
                 "files": [f"{name}.csv" for name, _ in jobs], **notes}
     for name, argv in jobs:
-        job = args.parser.parse_args(argv.split())
-        table = job.table(build_run_config(job), job)
+        table = _table(args.parser.parse_args(argv.split()))
         # only figure 7 keeps its comment lines; the dip and C go to the metadata
         write_table(str(outdir / f"{name}.csv"),
                     table if table.metadata.get("mode") == "lambda"
@@ -398,15 +441,6 @@ def cmd_reproduce_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-# table subcommand -> (help, table function, the RunConfig fields it reads);
-# each field is the flag --name; a subcommand takes the fields some mode reads
-_COMMANDS = {
-    "decoherence": ("|F(t)| over a time grid", _decoherence_table, _BATH + ("grid",)),
-    "gp": ("geometric phase over one quasi-cycle", _gp_table,
-           _BATH + ("theta0", "mode", "theta0_grid", "gamma_grid", "lambda_grid")),
-    "mc": ("Monte Carlo curve vs analytic", _mc_table, _BATH + _MC_RUN),
-    "pdist": ("phase distribution snapshots", _pdist_table, ("diffusion", "times", "nx")),
-}
 # argparse reads each kind of flag into the form a config file holds
 _FLAG_TYPES = {"float": float, "int": int, "str": str,
                "grid": lambda text: text.split(":"),
@@ -426,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (text, table, names) in _COMMANDS.items():
+    for command, (text, _, names) in _COMMANDS.items():
         p = sub.add_parser(command, help=text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output path ('-' or omitted: stdout)")
@@ -442,8 +476,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--method", choices=[METHOD_CLOSED, METHOD_QUADRATURE],
                            help="force the evaluation route")
             p.add_argument("--tol", type=float, default=1e-10,
-                           help="absolute quadrature tolerance (default %(default)s)")
-        p.set_defaults(func=cmd_table, table=table)
+                           help="absolute tolerance of the quadrature route, the "
+                                "quadratic profile or --method quadrature; the closed "
+                                "form does not read it (default %(default)s)")
+        p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("reproduce-figure",
                        help="write the data behind one standard figure")

@@ -32,17 +32,15 @@ from .numerics import ConvergenceError, integrate_finite
 
 __all__ = [
     "GPResult",
-    "SurfaceResult",
     "LambdaSweepResult",
     "bloch_angle",
+    "cycle_corrections",
     "geometric_phase",
     "unitary_phase",
     "first_order_coefficient",
     "first_order_correction",
     "perturbative_correction",
-    "gp_surface",
     "gp_lambda_sweep",
-    "gamma_comparison",
 ]
 
 
@@ -59,18 +57,6 @@ class GPResult:
     phi_u: float
     delta: float
     tol: float
-
-
-@dataclass(frozen=True)
-class SurfaceResult:
-    """Relative GP degradation |delta| / phi_u over (theta0, gamma).
-
-    theta0 = pi has phi_u = 0; the ratio is undefined there and stored
-    as NaN.
-    """
-
-    ratio: np.ndarray  # shape (len(theta0), len(gamma))
-    delta_abs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -121,17 +107,19 @@ def unitary_phase(state):
 _COMPONENTS = 1460  # live (theta0, gamma) pairs per cycle integral: bounds its node values
 
 
-def _cycle_corrections(config: BathConfig, theta0s, gammas, tol: float):
+def cycle_corrections(config: BathConfig, theta0_grid: Sequence[float],
+                      gamma_grid: Sequence[float], tol: float = 1e-9):
     """Cycle corrections delta = int_0^{2 pi} (cos(theta_+)^2 - cos(theta0/2)^2) dt
-    and their errors, to absolute tol, as (len(theta0s), len(gammas)) arrays.
+    and their errors, to absolute tol, as (len(theta0_grid), len(gamma_grid))
+    arrays.  The couplings are gamma_grid's; config.gamma is not read.
 
     beta is independent of theta0 and linear in gamma: each node batch takes
     beta once, at gamma = 1 and tol 1e-12 / (the integral's largest gamma).
     The live (theta0, gamma) pairs, in row order, are cut into integrals of
     at most _COMPONENTS pairs.  Couplings 0, and all of them at D = 0, give 0.
     """
-    th = _theta0_of(theta0s)
-    g = np.asarray(gammas, dtype=float)
+    th = _theta0_of(theta0_grid)
+    g = np.asarray(gamma_grid, dtype=float)
     if not np.all(np.isfinite(g) & (g >= 0)):
         raise ValueError(f"gamma must be finite and >= 0, got {g}")
     if not tol > 0:
@@ -164,13 +152,13 @@ def geometric_phase(config: BathConfig, state,
                     tol: float = 1e-9) -> GPResult:
     """GP of one quasi-cycle with the bath on.
 
-    phi_g is phi_u plus the correction delta of _cycle_corrections, to
+    phi_g is phi_u plus the correction delta of cycle_corrections, to
     absolute tolerance tol; the polar states theta0 = 0, pi get delta = 0.
     A float state gives float fields; an array of states shares one
     integral and gives arrays of its shape.
     """
     th = np.asarray(state, dtype=float)
-    delta, err = _cycle_corrections(config, th.ravel(), [config.gamma], tol)
+    delta, err = cycle_corrections(config, th.ravel(), [config.gamma], tol)
     phi_u = unitary_phase(th.ravel())
     fields = [f.reshape(th.shape) for f in (phi_u + delta[:, 0], phi_u, delta[:, 0], err[:, 0])]
     return GPResult(*(map(float, fields) if th.ndim == 0 else fields))
@@ -248,22 +236,6 @@ def perturbative_correction(config: BathConfig,
     return config.gamma * coeff * math.sin(theta0) ** 2 * math.cos(theta0)
 
 
-def gp_surface(config: BathConfig, theta0_grid: Sequence[float],
-               gamma_grid: Sequence[float],
-               tol: float = 1e-9) -> SurfaceResult:
-    """Relative GP degradation over a (theta0, gamma) grid.
-
-    Rows where phi_u vanishes (theta0 = pi) get NaN ratios; callers that
-    serialize the surface are expected to flag them rather than drop
-    them.
-    """
-    delta_abs = np.abs(_cycle_corrections(config, theta0_grid, gamma_grid, tol)[0])
-    phi_u = unitary_phase(theta0_grid)
-    # dividing by NaN leaves the phi_u = 0 rows NaN without a warning
-    ratio = delta_abs / np.where(phi_u > 0, phi_u, np.nan)[:, None]
-    return SurfaceResult(ratio=ratio, delta_abs=delta_abs)
-
-
 def gp_lambda_sweep(config: BathConfig, theta0_grid: Sequence[float],
                     lambda_grid: Sequence[float],
                     tol: float = 1e-9,
@@ -293,19 +265,3 @@ def gp_lambda_sweep(config: BathConfig, theta0_grid: Sequence[float],
     return LambdaSweepResult(delta_abs=delta_abs, monotone=monotone,
                              max_increase=max_increase)
 
-
-def gamma_comparison(config: BathConfig, state: float,
-                     gamma_grid: Sequence[float],
-                     tol: float = 1e-9):
-    """(exact phi_g, first-order phi_g) arrays over gamma_grid for one state.
-
-    The first-order column is phi_u + perturbative_correction, the
-    curve the exact one should hug at small gamma and peel away from
-    as gamma grows.
-    """
-    ga = np.asarray(gamma_grid, dtype=float)
-    phi_u = unitary_phase(state)
-    exact = phi_u + _cycle_corrections(config, [state], ga, tol)[0][0]
-    # the first-order formula is linear in gamma
-    pred = phi_u + ga * perturbative_correction(dataclasses.replace(config, gamma=1.0), state)
-    return exact, pred

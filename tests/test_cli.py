@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import neqbath
 from neqbath.bath import BathConfig
-from neqbath import cli
+from neqbath import cli, geomphase
 from neqbath.cli import RunConfig, build_parser, build_run_config, grid_array, main
 from neqbath.dephasing import decoherence_factor
 from neqbath.geomphase import geometric_phase
@@ -291,28 +291,52 @@ def test_each_subcommand_keeps_its_flags():
     assert list(subcommand_options().items()) == list(OPTIONS.items())
 
 
+BATH_METADATA = ["gamma", "cutoff", "diffusion", "phase_lambda", "ohmicity", "profile"]
+# each gp mode -> (a small base argv, the RunConfig fields it reads, in the
+# order its metadata lists them); it refuses a flag of any other field
+GP_MODES = {
+    "point": ([], [*BATH_METADATA, "mode", "theta0"]),
+    "surface": (["--mode", "surface", "--theta0-grid", "0:1:0.5", "--gamma-grid", "0:0.2:0.1"],
+                [*BATH_METADATA[1:], "mode", "theta0_grid", "gamma_grid"]),
+    "lambda": (["--mode", "lambda", "--theta0-grid", "0:1:0.5", "--lambda-grid", "0:2:1"],
+               ["gamma", "cutoff", "diffusion", "ohmicity", "profile", "mode", "theta0_grid",
+                "lambda_grid"]),
+    "gamma": (["--mode", "gamma", "--gamma-grid", "0:0.2:0.1"],
+              [*BATH_METADATA[1:], "mode", "theta0", "gamma_grid"]),
+}
+
+
+def flag_of(name):
+    return "--" + name.replace("_", "-")
+
+
 # every run-parameter flag of a table subcommand -> (base argv, a value that
 # changes the CSV of the base run; None for a switch).  A flag applies on its
-# own route: --tol on the quadratic profile, each gp grid in its own mode.
+# own route: --tol on the quadratic profile, each gp flag in a mode that reads it.
 _DECOHERENCE = ["--grid", "0:2:0.5"]
-_GP = ["--theta0-grid", "0:1:0.5", "--gamma-grid", "0:0.2:0.1", "--lambda-grid", "0:2:1"]
 _MC = ["--n-modes", "64", "--n-trajectories", "2", "--horizon", "0.5", "--dt", "0.1"]
 _PDIST = ["--times", "1", "--nx", "5"]
 _BATH_VALUES = {"--gamma": "3", "--cutoff": "2", "--diffusion": "0.5",
                 "--phase-lambda": "2", "--ohmicity": "3", "--profile": "quadratic"}
+_GP_VALUES = {**_BATH_VALUES, "--theta0": "1", "--theta0-grid": "0:1:0.25",
+              "--gamma-grid": "0:0.2:0.05", "--lambda-grid": "0:2:0.5"}
+# (gp mode, flag) for each flag the mode reads, and for each it refuses
+GP_READ = [(mode, flag) for mode, (_, names) in GP_MODES.items()
+           for flag in map(flag_of, names) if flag != "--mode"]
+GP_REFUSED = [(mode, flag) for mode, (_, names) in GP_MODES.items()
+              for flag in _GP_VALUES if flag not in map(flag_of, names)]
 FLAG_EFFECTS = {
     **{(command, flag): (base, value)
-       for command, base in (("decoherence", _DECOHERENCE), ("gp", _GP), ("mc", _MC))
+       for command, base in (("decoherence", _DECOHERENCE), ("mc", _MC))
        for flag, value in _BATH_VALUES.items()},
+    # each gp flag in the first mode that reads it; GP_READ_LATER holds the others
+    **{("gp", flag): (GP_MODES[next(mode for mode, read in GP_READ if read == flag)][0], value)
+       for flag, value in _GP_VALUES.items()},
     ("decoherence", "--grid"): (_DECOHERENCE, "0:2:0.25"),
     ("decoherence", "--dip"): (_DECOHERENCE, None),
     ("decoherence", "--method"): (_DECOHERENCE, "quadrature"),
     ("decoherence", "--tol"): (["--profile", "quadratic", *_DECOHERENCE], "1e-6"),
-    ("gp", "--theta0"): (_GP, "1"),
-    ("gp", "--mode"): (_GP, "surface"),
-    ("gp", "--theta0-grid"): ([*_GP, "--mode", "surface"], "0:1:0.25"),
-    ("gp", "--gamma-grid"): ([*_GP, "--mode", "surface"], "0:0.2:0.05"),
-    ("gp", "--lambda-grid"): ([*_GP, "--mode", "lambda"], "0:2:0.5"),
+    ("gp", "--mode"): ([], "surface"),
     ("mc", "--seed"): (_MC, "2"),
     ("mc", "--n-modes"): (_MC, "128"),
     ("mc", "--n-trajectories"): (_MC, "3"),
@@ -322,6 +346,8 @@ FLAG_EFFECTS = {
     ("pdist", "--times"): (_PDIST, "2"),
     ("pdist", "--nx"): (_PDIST, "9"),
 }
+GP_READ_LATER = [(mode, flag) for mode, flag in GP_READ
+                 if FLAG_EFFECTS["gp", flag][0] != GP_MODES[mode][0]]
 
 
 class TestEveryFlagIsRead:
@@ -333,10 +359,8 @@ class TestEveryFlagIsRead:
                                      for flag in options[command]
                                      if flag not in OUTPUT_OPTIONS}
 
-    @pytest.mark.parametrize("command,flag", list(FLAG_EFFECTS),
-                             ids=["".join(key) for key in FLAG_EFFECTS])
-    def test_flag_changes_the_csv(self, command, flag, tmp_path):
-        base, value = FLAG_EFFECTS[command, flag]
+    @staticmethod
+    def assert_changes_the_csv(command, base, flag, value, tmp_path):
         outputs = []
         for extra in ([], [flag] if value is None else [f"{flag}={value}"]):
             out = tmp_path / f"run{len(outputs)}.csv"
@@ -346,6 +370,37 @@ class TestEveryFlagIsRead:
                 assert run_cli([command, *base, *extra, "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] != outputs[1]
+
+    @pytest.mark.parametrize("command,flag", list(FLAG_EFFECTS),
+                             ids=["".join(key) for key in FLAG_EFFECTS])
+    def test_flag_changes_the_csv(self, command, flag, tmp_path):
+        base, value = FLAG_EFFECTS[command, flag]
+        self.assert_changes_the_csv(command, base, flag, value, tmp_path)
+
+    @pytest.mark.parametrize("mode,flag", GP_READ_LATER,
+                             ids=["".join(key) for key in GP_READ_LATER])
+    def test_each_gp_mode_flag_changes_the_csv(self, mode, flag, tmp_path):
+        self.assert_changes_the_csv("gp", GP_MODES[mode][0], flag, _GP_VALUES[flag], tmp_path)
+
+    @pytest.mark.parametrize("mode,flag", GP_REFUSED, ids=["".join(key) for key in GP_REFUSED])
+    def test_a_flag_its_gp_mode_never_reads_exits_2(self, mode, flag, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run_cli(["gp", *GP_MODES[mode][0], f"{flag}={_GP_VALUES[flag]}",
+                        "--out", str(out)]) == 2
+        assert f"config error: gp --mode {mode} does not read {flag}\n" \
+            == capsys.readouterr().err
+        assert not out.exists()
+
+    def test_the_mode_may_come_from_the_config_file(self, tmp_path, capsys):
+        # the file's fields of another mode are accepted; a flag of one is refused
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({"mode": "surface", "theta0": 1.0, "gamma": 2.0}))
+        out = tmp_path / "x.csv"
+        assert run_cli(["gp", "--config", str(cfgfile), "--gamma-grid", "0:0.2:0.1",
+                        "--theta0-grid", "0:1:0.5", "--out", str(out)]) == 0
+        assert run_cli(["gp", "--config", str(cfgfile), "--theta0", "1",
+                        "--out", str(out)]) == 2
+        assert "gp --mode surface does not read --theta0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["pdist", "--gamma", "1"], ["pdist", "--theta0", "1"], ["decoherence", "--seed", "1"],
@@ -359,8 +414,7 @@ class TestEveryFlagIsRead:
 
     @pytest.mark.parametrize("mode", ["point", "gamma"])
     def test_theta0_is_checked_where_it_is_read(self, mode, capsys):
-        assert run_cli(["gp", "--mode", mode, "--theta0", "4",
-                        "--gamma-grid", "0:0.2:0.1"]) == 2
+        assert run_cli(["gp", *GP_MODES[mode][0], "--theta0", "4"]) == 2
         assert "config error: theta0 must lie in [0, pi], got 4.0" in capsys.readouterr().err
 
 
@@ -487,6 +541,17 @@ class TestGpCommand:
                                                                abs=1e-6)
         assert doc["comments"][0].startswith("exact first-order coefficient")
 
+    def test_gamma_mode_refuses_an_ohmicity_before_the_cycle_integral(self, monkeypatch,
+                                                                      capsys):
+        # formerly the exact column was integrated first, and only then refused
+        def no_integral(*args, **kwargs):
+            raise AssertionError("the cycle integral ran")
+
+        monkeypatch.setattr(geomphase, "integrate_finite", no_integral)
+        assert run_cli(["gp", "--mode", "gamma", "--profile", "quadratic", "--ohmicity", "5",
+                        "--gamma-grid", "0:3:0.01"]) == 2
+        assert "no first-order coefficient for ohmicity 5" in capsys.readouterr().err
+
 
 @pytest.mark.filterwarnings("ignore:discretized modes carry")
 class TestMcCommand:
@@ -598,21 +663,17 @@ class TestPdistCommand:
         assert [row[2] for row in inf_rows] == [1.0 / (2.0 * math.pi)] * 5
 
 
-BATH_METADATA = ["gamma", "cutoff", "diffusion", "phase_lambda", "ohmicity", "profile"]
-
-
 class TestTableOutput:
     """CSV and --json are written from one set of named columns."""
 
     @pytest.mark.parametrize("argv,keys", [
         (["decoherence", "--grid", "0:1:0.5"], [*BATH_METADATA, "grid"]),
-        (["gp"], [*BATH_METADATA, "mode", "theta0"]),
+        (["gp"], GP_MODES["point"][1]),
         (["gp", "--mode", "surface", "--theta0-grid", "0:1:0.5", "--gamma-grid", "0:1:0.5"],
-         [*BATH_METADATA, "mode", "theta0_grid", "gamma_grid"]),
+         GP_MODES["surface"][1]),
         (["gp", "--mode", "lambda", "--theta0-grid", "0:1:0.5", "--lambda-grid", "0:1:0.5"],
-         [*BATH_METADATA, "mode", "theta0_grid", "lambda_grid"]),
-        (["gp", "--mode", "gamma", "--gamma-grid", "0:0.2:0.1"],
-         [*BATH_METADATA, "mode", "theta0", "gamma_grid"]),
+         GP_MODES["lambda"][1]),
+        (["gp", "--mode", "gamma", "--gamma-grid", "0:0.2:0.1"], GP_MODES["gamma"][1]),
         (["mc", "--n-modes", "128", "--n-trajectories", "2", "--horizon", "0.5"],
          [*BATH_METADATA, "seed", "n_modes", "n_trajectories", "dt", "horizon"]),
         # P(x, t) depends on D alone: pdist builds no bath
@@ -726,6 +787,13 @@ class TestFiguresShareSubcommands:
             lines = [line for line in lines if not line.startswith("# ")]
         assert "".join(lines) == (figure_dir / f"{name}.csv").read_text()
 
+    @pytest.mark.parametrize("number", [4, 5, 6, 7])
+    def test_figure_metadata_names_the_fields_its_mode_read(self, number, figure_dir):
+        meta = json.loads((figure_dir / f"fig{number}_metadata.json").read_text())
+        runs = [meta] if "mode" in meta else [meta["ohmic"], meta["supraohmic"]]
+        for run in runs:
+            names = [key for key in run if key in {f.name for f in fields(RunConfig)}]
+            assert names == GP_MODES[run["mode"]][1]
 
 
 class TestSharedParser:
@@ -849,7 +917,6 @@ _COMMAND_FLAGS = {
                     "--tol": st.sampled_from([1e-300, 1e-12, 1e-6, 1.0, 1e300]),
                     "--method": st.sampled_from(["closed-form", "quadrature"])},
     "gp": {"--theta0": _number(-1.0, 4.0),
-           "--mode": st.sampled_from(["point", "surface", "lambda", "gamma"]),
            "--theta0-grid": _grid(3.0, 0.5, 3.0, 2),
            "--gamma-grid": _grid(2.0, 0.05, 2.0, 3),
            "--lambda-grid": _grid(5.0, 0.1, 5.0, 3)},
@@ -866,15 +933,17 @@ _COMMAND_FLAGS = {
 def cli_arguments(draw):
     command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
     argv = [command]
-    if command in ("gp", "mc"):
-        # keep the expensive defaults small
-        argv += {"gp": ["--theta0-grid", "0:1:0.5", "--gamma-grid", "0:0.2:0.1",
-                        "--lambda-grid", "0:2:1"],
-                 "mc": ["--n-modes", "4", "--n-trajectories", "2",
-                        "--horizon", "0.5", "--dt", "0.1"]}[command]
+    flags = dict({} if command == "pdist" else _BATH_FLAGS, **_COMMAND_FLAGS[command])
+    # keep the expensive defaults small
+    if command == "gp":
+        # the mode first, then only flags it reads: another would end at exit 2
+        base, names = GP_MODES[draw(st.sampled_from(sorted(GP_MODES)))]
+        argv += base
+        flags = {flag_of(name): flags[flag_of(name)] for name in names if name != "mode"}
+    if command == "mc":
+        argv += ["--n-modes", "4", "--n-trajectories", "2", "--horizon", "0.5", "--dt", "0.1"]
     if command == "decoherence":
         argv += ["--grid", "0:2:1"]
-    flags = dict({} if command == "pdist" else _BATH_FLAGS, **_COMMAND_FLAGS[command])
     for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True,
                               max_size=4)):
         # flag=value keeps values such as -1e-05 from reading as flags

@@ -7,6 +7,7 @@ so the package's own quadrature is never used to grade itself.
 """
 
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -14,18 +15,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from neqbath import geomphase
+from neqbath import cli, geomphase
 from neqbath.bath import BathConfig
 from neqbath.dephasing import beta_values
 from neqbath.geomphase import (
     LambdaSweepResult,
     bloch_angle,
+    cycle_corrections,
     first_order_coefficient,
     first_order_correction,
-    gamma_comparison,
     geometric_phase,
     gp_lambda_sweep,
-    gp_surface,
     perturbative_correction,
     unitary_phase,
 )
@@ -155,9 +155,7 @@ class TestGeometricPhase:
                 with pytest.raises(ValueError, match=match):
                     geometric_phase(c, 0.7, tol=bad)
                 with pytest.raises(ValueError, match=match):
-                    gp_surface(c, [0.7], [c.gamma], tol=bad)
-                with pytest.raises(ValueError, match=match):
-                    gamma_comparison(c, 0.7, [c.gamma], tol=bad)
+                    cycle_corrections(c, [0.7], [c.gamma], tol=bad)
 
     @pytest.mark.parametrize("profile", ["linear", "quadratic"])
     def test_subnormal_coupling_keeps_the_inner_tol_finite(self, profile):
@@ -299,15 +297,13 @@ class TestSurface:
     def test_layout_and_edges(self):
         th = np.array([0.0, math.pi / 4.0, math.pi])
         ga = np.array([0.0, 0.5])
-        surf = gp_surface(cfg(1.0), th, ga)
-        assert surf.ratio.shape == (3, 2)
+        delta, err = cycle_corrections(cfg(1.0), th, ga)
+        assert delta.shape == err.shape == (3, 2)
         # gamma = 0 column and polar rows carry no degradation
-        assert np.all(surf.delta_abs[:, 0] == 0.0)
-        assert surf.delta_abs[0, 1] == pytest.approx(0.0, abs=1e-10)
-        assert surf.delta_abs[2, 1] == pytest.approx(0.0, abs=1e-10)
-        # theta0 = pi has phi_u = 0: ratio undefined
-        assert math.isnan(surf.ratio[2, 0]) and math.isnan(surf.ratio[2, 1])
-        assert surf.ratio[1, 1] > 0.0
+        assert np.all(delta[:, 0] == 0.0)
+        assert delta[0, 1] == pytest.approx(0.0, abs=1e-10)
+        assert delta[2, 1] == pytest.approx(0.0, abs=1e-10)
+        assert delta[1, 1] > 0.0
 
     def test_supraohmic_surface_is_rougher(self):
         # total variation across theta0 at gamma = 0.5: the supraohmic
@@ -316,20 +312,21 @@ class TestSurface:
         ga = np.array([0.5])
         tv = {}
         for n in (1, 3):
-            surf = gp_surface(cfg(1.0, ohmicity=n), th, ga)
-            tv[n] = float(np.sum(np.abs(np.diff(surf.ratio[:, 0]))))
+            ratio = np.abs(cycle_corrections(cfg(1.0, ohmicity=n), th, ga)[0][:, 0]) \
+                / unitary_phase(th)
+            tv[n] = float(np.sum(np.abs(np.diff(ratio))))
         assert tv[3] > tv[1]
 
     def test_degradation_grows_with_gamma_at_quarter_polar(self):
         th = np.array([math.pi / 4.0])
         ga = np.linspace(0.0, 1.0, 6)
-        surf = gp_surface(cfg(1.0), th, ga)
-        assert np.all(np.diff(surf.delta_abs[0]) > 0.0)
+        delta = cycle_corrections(cfg(1.0), th, ga)[0]
+        assert np.all(np.diff(np.abs(delta[0])) > 0.0)
 
 
 def per_point_delta(config, theta0, tol=1e-9):
-    """(delta, error) of one point by the per-point cycle integral that
-    gp_surface ran before it batched the couplings (frozen copy)."""
+    """(delta, error) of one point by the per-point cycle integral that the
+    surface ran before it batched the couplings (frozen copy)."""
     if config.gamma == 0.0 or config.diffusion == 0.0:
         return 0.0, 0.0
     base = math.cos(0.5 * theta0) ** 2
@@ -344,36 +341,36 @@ def per_point_delta(config, theta0, tol=1e-9):
 
 
 class TestSurfaceAgainstPerPointLoop:
-    """gp_surface integrates a whole gamma row at once; each point must
-    agree with its own cycle integral within the sum of both errors (the
-    row's error is at most tol, or gp_surface raises)."""
+    """cycle_corrections integrates a whole gamma row at once; each point
+    must agree with its own cycle integral within the sum of both errors
+    (the row's error is at most tol, or cycle_corrections raises)."""
 
     TOL = 1e-9
 
     def check(self, config, th, ga):
-        surf = gp_surface(config, th, ga, tol=self.TOL)
+        delta = cycle_corrections(config, th, ga, tol=self.TOL)[0]
         for i, t0 in enumerate(th):
             for j, g in enumerate(ga):
                 want, err = per_point_delta(
                     dataclasses.replace(config, gamma=float(g)), float(t0))
-                assert abs(surf.delta_abs[i, j] - abs(want)) <= self.TOL + err, (t0, g)
-        return surf
+                assert abs(delta[i, j] - want) <= self.TOL + err, (t0, g)
+        return delta
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_closed_form_route(self, n):
         th = np.linspace(0.0, math.pi, 9)
         ga = np.arange(0.0, 2.01, 0.25)
-        surf = self.check(cfg(1.0, ohmicity=n, **FIG6), th, ga)
-        assert np.all(surf.delta_abs[:, 0] == 0.0)
-        assert np.all(np.isnan(surf.ratio[-1]))
-        assert np.all(np.isfinite(surf.ratio[:-1]))
+        delta = self.check(cfg(1.0, ohmicity=n, **FIG6), th, ga)
+        assert np.all(delta[:, 0] == 0.0)
+        # the polar rows carry no correction
+        assert np.all(np.abs(delta[[0, -1]]) <= self.TOL)
 
     def test_quadrature_route(self):
         th = np.array([0.25, 0.5, 0.75, 1.0]) * math.pi
         ga = np.array([0.0, 0.5, 1.0])
-        surf = self.check(cfg(1.0, phase_profile="quadratic"), th, ga)
-        assert np.all(surf.delta_abs[:, 0] == 0.0)
-        assert np.all(np.isnan(surf.ratio[-1]))
+        delta = self.check(cfg(1.0, phase_profile="quadratic"), th, ga)
+        assert np.all(delta[:, 0] == 0.0)
+        assert np.all(np.abs(delta[-1]) <= self.TOL)
 
     def test_one_coupling_is_bitwise_the_per_point_integral(self):
         # on the closed form gamma * (beta at gamma = 1) is beta to the bit,
@@ -382,25 +379,22 @@ class TestSurfaceAgainstPerPointLoop:
             c = cfg(0.7, ohmicity=n)
             res = geometric_phase(c, t0)
             assert (res.delta, res.tol) == per_point_delta(c, t0)
-            assert gp_surface(c, [t0], [0.7]).delta_abs[0, 0] == abs(res.delta)
+            assert cycle_corrections(c, [t0], [0.7])[0][0, 0] == res.delta
 
     def test_zero_coupling_and_zero_diffusion_are_exactly_zero(self):
-        surf = gp_surface(cfg(1.0, diffusion=0.0), [0.4, 1.2], [0.0, 0.5, 2.0])
-        assert np.all(surf.delta_abs == 0.0)
-        exact, _ = gamma_comparison(cfg(1.0), 0.4, [0.0, 0.0])
-        assert np.all(exact == unitary_phase(0.4))
+        delta, err = cycle_corrections(cfg(1.0, diffusion=0.0), [0.4, 1.2], [0.0, 0.5, 2.0])
+        assert np.all(delta == 0.0) and np.all(err == 0.0)
+        assert np.all(cycle_corrections(cfg(1.0), [0.4], [0.0, 0.0])[0] == 0.0)
 
     def test_bad_couplings_raise(self):
         for ga in ([0.5, -0.1], [0.5, math.inf], [math.nan]):
             with pytest.raises(ValueError, match="gamma"):
-                gp_surface(cfg(1.0), [0.5], ga)
+                cycle_corrections(cfg(1.0), [0.5], ga)
 
     def test_convergence_error_reaches_the_caller(self):
         with pytest.raises(ConvergenceError, match="geometric-phase") as info:
-            gp_surface(cfg(1.0), [0.5], [0.5, 1.0], tol=1e-30)
+            cycle_corrections(cfg(1.0), [0.5], [0.5, 1.0], tol=1e-30)
         assert info.value.result.error.shape == (2,)
-        with pytest.raises(ConvergenceError):
-            gamma_comparison(cfg(1.0), 0.5, [0.5, 1.0], tol=1e-30)
 
 
 def count_cycle_integrals(monkeypatch):
@@ -422,9 +416,9 @@ class TestOneIntegralPerTable:
 
     def test_surface_is_one_integral(self, monkeypatch):
         calls = count_cycle_integrals(monkeypatch)
-        surf = gp_surface(cfg(1.0), np.linspace(0.0, math.pi, 33),
-                          np.arange(0.0, 2.01, 0.1))
-        assert surf.delta_abs.shape == (33, 21)
+        delta = cycle_corrections(cfg(1.0), np.linspace(0.0, math.pi, 33),
+                                  np.arange(0.0, 2.01, 0.1))[0]
+        assert delta.shape == (33, 21)
         assert len(calls) == 1
 
     def test_lambda_sweep_is_one_integral_per_delay(self, monkeypatch):
@@ -440,32 +434,31 @@ class TestOneIntegralPerTable:
         th = np.linspace(0.2, 2.8, 5)
         ga = np.array([0.0, 0.5, 1.0, 2.0])
         tol = 1e-9
-        whole = gp_surface(cfg(1.0, ohmicity=3), th, ga, tol=tol)
+        whole = cycle_corrections(cfg(1.0, ohmicity=3), th, ga, tol=tol)[0]
         monkeypatch.setattr(geomphase, "_COMPONENTS", budget)
         calls = count_cycle_integrals(monkeypatch)
-        cut = gp_surface(cfg(1.0, ohmicity=3), th, ga, tol=tol)
+        cut = cycle_corrections(cfg(1.0, ohmicity=3), th, ga, tol=tol)[0]
         assert len(calls) == integrals
-        assert np.all(np.abs(cut.delta_abs - whole.delta_abs) <= 2.0 * tol)
-        assert np.all(cut.delta_abs[:, 0] == 0.0)
+        assert np.all(np.abs(cut - whole) <= 2.0 * tol)
+        assert np.all(cut[:, 0] == 0.0)
 
     def test_component_budget_cuts_inside_a_row(self, monkeypatch):
         # one theta0 with 7 live couplings: 3 + 3 + 1, not one 7-component integral
         ga = np.linspace(0.0, 2.1, 8)
         tol = 1e-9
-        whole = gp_surface(cfg(1.0), [math.pi / 4.0], ga, tol=tol)
+        whole = cycle_corrections(cfg(1.0), [math.pi / 4.0], ga, tol=tol)[0]
         monkeypatch.setattr(geomphase, "_COMPONENTS", 3)
         calls = count_cycle_integrals(monkeypatch)
-        cut = gp_surface(cfg(1.0), [math.pi / 4.0], ga, tol=tol)
+        cut = cycle_corrections(cfg(1.0), [math.pi / 4.0], ga, tol=tol)[0]
         assert calls == [3, 3, 1]
-        assert np.all(np.abs(cut.delta_abs - whole.delta_abs) <= 2.0 * tol)
+        assert np.all(np.abs(cut - whole) <= 2.0 * tol)
 
     def test_memory_does_not_grow_with_the_couplings(self):
         # 10 x the couplings of one theta0 is 10 x the integrals, not 10 x the nodes held
         def peak(n):
             tracemalloc.start()
             try:
-                geomphase._cycle_corrections(cfg(1.0), [math.pi / 4.0],
-                                             np.linspace(0.0, 1.0, n), 1e-9)
+                cycle_corrections(cfg(1.0), [math.pi / 4.0], np.linspace(0.0, 1.0, n))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -508,9 +501,15 @@ class TestLambdaSweep:
 
 
 class TestGammaComparison:
-    def test_columns_are_consistent(self):
-        ga = np.array([0.0, 0.1, 0.2])
-        exact, pred = gamma_comparison(cfg(1.0, **FIG6), math.pi / 4.0, ga)
+    def test_columns_are_consistent(self, tmp_path):
+        # gp --mode gamma at the defaults theta0 = pi/4, cutoff 1, lambda 1
+        out = tmp_path / "gamma.json"
+        assert cli.main(["gp", "--mode", "gamma", "--diffusion", "1", "--gamma-grid",
+                         "0:0.2:0.1", "--json", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["columns"] == ["gamma", "phi_g", "phi_g_pred"]
+        ga, exact, pred = np.array(doc["rows"]).T
+        assert list(ga) == [0.0, 0.1, 0.2]
         # gamma = 0 rows collapse to phi_u on both columns
         phi_u = unitary_phase(math.pi / 4.0)
         assert exact[0] == pytest.approx(phi_u, abs=1e-12)
