@@ -272,7 +272,7 @@ def _point_table(cfg: RunConfig, args: argparse.Namespace) -> tuple:
 def _surface_table(cfg: RunConfig, args: argparse.Namespace) -> tuple:
     """|delta| / phi_u over (theta0, gamma): NaN, and noted, where phi_u = 0."""
     th, ga = grid_array(cfg.theta0_grid), grid_array(cfg.gamma_grid)
-    delta = cycle_corrections(cfg.bath_config(), th, ga)[0]
+    delta = cycle_corrections(replace(cfg, gamma=1.0).bath_config(), th, ga)[0]
     phi_u = unitary_phase(th)
     # dividing by NaN leaves the phi_u = 0 rows NaN without a warning
     ratio = (np.abs(delta) / np.where(phi_u > 0, phi_u, np.nan)[:, None]).ravel()
@@ -284,7 +284,7 @@ def _surface_table(cfg: RunConfig, args: argparse.Namespace) -> tuple:
 def _lambda_table(cfg: RunConfig, args: argparse.Namespace) -> tuple:
     """|delta| over (theta0, lambda), with each theta0's monotonicity."""
     th, lams = grid_array(cfg.theta0_grid), grid_array(cfg.lambda_grid)
-    sweep = gp_lambda_sweep(cfg.bath_config(), th, lams)
+    sweep = gp_lambda_sweep(replace(cfg, phase_lambda=float(lams[0])).bath_config(), th, lams)
     columns = {"theta0": np.repeat(th, len(lams)), "lambda": np.tile(lams, len(th)),
                "delta_phi": sweep.delta_abs.ravel()}
     comments = [
@@ -300,12 +300,12 @@ def _lambda_table(cfg: RunConfig, args: argparse.Namespace) -> tuple:
 
 def _gamma_table(cfg: RunConfig, args: argparse.Namespace) -> tuple:
     """Exact phi_g over gamma beside the paper's first-order phi_g_pred."""
-    bath = cfg.bath_config()
+    bath = replace(cfg, gamma=1.0).bath_config()  # cfg.gamma is unread: the grid sets it
     ga = grid_array(cfg.gamma_grid)
     phi_u = unitary_phase(cfg.theta0)
     # the paper's formula, linear in gamma, goes first: an ohmicity it has
     # no coefficient for is refused before the cycle integral
-    pred = phi_u + ga * perturbative_correction(replace(bath, gamma=1.0), cfg.theta0)
+    pred = phi_u + ga * perturbative_correction(bath, cfg.theta0)
     exact = phi_u + cycle_corrections(bath, [cfg.theta0], ga)[0][0]
     coeff = first_order_coefficient(bath)
     comments = [
@@ -365,20 +365,23 @@ _COMMANDS = {
 }
 
 
-def _table(args: argparse.Namespace) -> _Table:
-    """The table of a decoherence, gp, mc or pdist run, whose metadata is
-    the command, the version and the RunConfig fields the run read.
-
-    A gp run reads the fields of its mode, from --mode or the config file,
-    and refuses a flag of another mode.
-    """
-    cfg = build_run_config(args)
+def _table_reads(cfg: RunConfig, args: argparse.Namespace) -> tuple:
+    """The table function of a run and the RunConfig fields it reads: a gp run
+    reads those of its mode (--mode or the config file), and refuses a flag of another."""
     _, table, reads = _COMMANDS[args.command]
     if args.command == "gp":
         table, reads = _GP_MODES[cfg.mode]
         for name in _COMMANDS["gp"][2]:
             if getattr(args, name) is not None and name not in reads:
                 raise ConfigError(f"gp --mode {cfg.mode} does not read --{name.replace('_', '-')}")
+    return table, reads
+
+
+def _table(args: argparse.Namespace) -> _Table:
+    """The table of a decoherence, gp, mc or pdist run, whose metadata is
+    the command, the version and the RunConfig fields the run read."""
+    cfg = build_run_config(args)
+    table, reads = _table_reads(cfg, args)
     columns, comments, extra = table(cfg, args)
     return _Table(columns, comments, {"command": args.command, "version": __version__,
                                       **{name: getattr(cfg, name) for name in reads}}, extra)

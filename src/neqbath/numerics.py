@@ -1,7 +1,7 @@
 """Deterministic adaptive quadrature.
 
-Everything here is adaptive panel integration with one fixed rule,
-QUADPACK's G10/K21 Gauss-Kronrod pair.  No randomness, no environment
+Adaptive panel integration with one fixed rule, QUADPACK's G20/K41
+Gauss-Kronrod pair with its rounding floor.  No randomness, no environment
 dependence: identical inputs give bitwise-identical outputs.
 """
 
@@ -49,59 +49,72 @@ class ConvergenceError(RuntimeError):
         self.result = result
 
 
-# QUADPACK's qk21: 21-point Kronrod extension of 10-point Gauss (nonneg abscissae, descending)
+# QUADPACK's qk41: 41-point Kronrod extension of 20-point Gauss (nonneg abscissae, descending)
 _XGK = np.array([
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.998859031588277663838315576545863, 0.993128599185094924786122388471320,
+    0.981507877450250259193342994720217, 0.963971927277913791267666131197277,
+    0.940822633831754753519982722212443, 0.912234428251325905867752441203298,
+    0.878276811252281976077442995113078, 0.839116971822218823394529061701521,
+    0.795041428837551198350638833272788, 0.746331906460150792614305070355642,
+    0.693237656334751384805490711845932, 0.636053680726515025452836696226286,
+    0.575140446819710315342946036586425, 0.510867001950827098004364050955251,
+    0.443593175238725103199992213492640, 0.373706088715419560672548177024927,
+    0.301627868114913004320555356858592, 0.227785851141645078080496195368575,
+    0.152605465240922675505220241022678, 0.076526521133497333754640409398838,
     0.000000000000000000000000000000000])
 _WGK = np.array([
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821])
+    0.003073583718520531501218293246031, 0.008600269855642942198661787950102,
+    0.014626169256971252983787960308868, 0.020388373461266523598010231432755,
+    0.025882133604951158834505067096153, 0.031287306777032798958543119323801,
+    0.036600169758200798030557240707211, 0.041668873327973686263788305936895,
+    0.046434821867497674720231880926108, 0.050944573923728691932707670050345,
+    0.055195105348285994744832372419777, 0.059111400880639572374967220648594,
+    0.062653237554781168025870122174255, 0.065834597133618422111563556969398,
+    0.068648672928521619345623411885368, 0.071054423553444068305790361723210,
+    0.073030690332786667495189417658913, 0.074582875400499188986581418362488,
+    0.075704497684556674659542775376617, 0.076377867672080736705502835038061,
+    0.076600711917999656445049901530102])
 _WG = np.array([
-    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338])
+    0.017614007139152118311861962351853, 0.040601429800386941331039952274932,
+    0.062672048334109063569506535187042, 0.083276741576704748724758143222046,
+    0.101930119817240435036750135480350, 0.118194531961518417312377377711382,
+    0.131688638449176626898494499748163, 0.142096109318382051329298325067165,
+    0.149172986472603746787828737001969, 0.152753387130725850698084331955098])
 
-# sorted node layout on [-1, 1]; Gauss-10 sits at the odd indices
+# sorted node layout on [-1, 1]; Gauss-20 sits at the odd indices
 _NODES = np.concatenate([-_XGK, _XGK[-2::-1]])
 _WK_FULL = np.concatenate([_WGK, _WGK[-2::-1]])
 _WG_FULL = np.concatenate([_WG, _WG[::-1]])
 
 _MAX_INITIAL_PANELS = 8192
 _MAX_PANELS = 10_000  # refinement stops here; an initial partition may exceed it
-_PERIODS = 3  # local periods per initial panel (fewest integrand points)
+_PERIODS = 8  # local periods per initial panel (fewest integrand points)
+_ROUNDING = 50.0 * np.finfo(float).eps  # QUADPACK's floor, times K41 on |f| (per component)
 
 
 def _eval_panels(f: Callable, a: np.ndarray, b: np.ndarray):
-    """Gauss-Kronrod on each [a_i, b_i]: (K21, |K21-G10|), panels on the last axis."""
+    """Gauss-Kronrod on each [a_i, b_i]: (K41, |K41-G20| + _ROUNDING int |f|), panels last."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     pts = c[:, None] + h[:, None] * _NODES[None, :]
     vals = np.asarray(f(pts.ravel()), dtype=float)
     vals = vals.reshape(vals.shape[:-1] + pts.shape)
     with np.errstate(invalid="ignore"):  # inf - inf is reported below
-        k21 = h * (vals @ _WK_FULL)
-        g10 = h * (vals[..., 1::2] @ _WG_FULL)
+        k41 = h * (vals @ _WK_FULL)
+        g20 = h * (vals[..., 1::2] @ _WG_FULL)
     # a non-finite node makes its panel's sum non-finite: scan vals only then
-    if not np.isfinite(k21).all():
+    if not np.isfinite(k41).all():
         bad = ~np.isfinite(vals).reshape(-1, pts.size).all(axis=0)
         if bad.any():
             x = float(pts.ravel()[np.argmax(bad)])  # the first bad node
             raise ValueError(f"integrand returned a non-finite value at x = {x!r}")
-    return k21, np.abs(k21 - g10)
+    return k41, np.abs(k41 - g20) + _ROUNDING * h * (np.abs(vals) @ _WK_FULL)
 
 
 def _adapt(f, a, b, tol):
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    k21, err = _eval_panels(f, a, b)
+    k41, err = _eval_panels(f, a, b)
     vector = err.ndim > 1
     while True:
         n = len(a)
@@ -122,12 +135,12 @@ def _adapt(f, a, b, tol):
         keep[idx] = False
         a = np.concatenate([a[keep], new_a])
         b = np.concatenate([b[keep], new_b])
-        k21 = np.concatenate([k21[..., keep], new_k], axis=-1)
+        k41 = np.concatenate([k41[..., keep], new_k], axis=-1)
         err = np.concatenate([err[..., keep], new_e], axis=-1)
     if vector:
-        return QuadratureResult(k21.sum(axis=-1), total, len(a), bool((total <= tol).all()))
+        return QuadratureResult(k41.sum(axis=-1), total, len(a), bool((total <= tol).all()))
     total = float(total)
-    return QuadratureResult(float(k21.sum()), total, len(a), total <= tol)
+    return QuadratureResult(float(k41.sum()), total, len(a), total <= tol)
 
 
 def integrate_finite(
@@ -144,7 +157,7 @@ def integrate_finite(
     """
     if not -math.inf < a < b < math.inf:
         raise ValueError(f"integration interval must be finite with b > a, got [{a}, {b}]")
-    edges = np.linspace(a, b, 9)  # 8 equal initial panels
+    edges = np.linspace(a, b, 5)  # 4 equal initial panels
     return _adapt(f, edges[:-1], edges[1:], tol)
 
 
@@ -152,15 +165,15 @@ def _initial_edges(upper: float, rate: float, chirp: float) -> np.ndarray:
     """Panel edges on [0, upper] for local angular frequency rate + chirp w.
 
     Every panel spans at most _PERIODS local periods, 2 pi _PERIODS /
-    (rate + chirp a) at its left edge a: panels are w0 = min(upper / 64,
-    2 pi _PERIODS / rate) wide while that cap exceeds w0 (64 equal panels
+    (rate + chirp a) at its left edge a: panels are w0 = min(upper / 32,
+    2 pi _PERIODS / rate) wide while that cap exceeds w0 (32 equal panels
     if rate = chirp = 0); then 2 pi _PERIODS apart in the phase rate w +
     chirp w^2 / 2 while it exceeds the floor upper / 8192; then floor-wide,
-    which bounds their number.  _adapt splits them where G10 and K21 disagree.
+    which bounds their number.  _adapt splits them where G20 and K41 disagree.
     """
     floor = upper / _MAX_INITIAL_PANELS
     step = 2.0 * math.pi * _PERIODS  # phase across one panel
-    w0 = max(min(upper / 64.0, step / rate if rate else upper), floor)
+    w0 = max(min(upper / 32.0, step / rate if rate else upper), floor)
     a1 = a2 = upper
     if chirp > 0:
         a1 = min(max((step / w0 - rate) / chirp, 0.0), upper)

@@ -402,6 +402,25 @@ class TestEveryFlagIsRead:
                         "--out", str(out)]) == 2
         assert "gp --mode surface does not read --theta0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode,unread,grids", [
+        ("surface", {"gamma": -1}, ["--theta0-grid", "0:1:0.5", "--gamma-grid", "0:0.2:0.1"]),
+        ("gamma", {"gamma": -1}, ["--gamma-grid", "0:0.2:0.1"]),
+        ("lambda", {"phase_lambda": -1}, ["--theta0-grid", "0:1:0.5", "--lambda-grid", "0:1:0.5"]),
+    ], ids=["surface", "gamma", "lambda"])
+    def test_a_bath_field_its_gp_mode_never_reads_is_not_checked(self, mode, unread, grids,
+                                                                  tmp_path):
+        # an invalid file value of a field the mode does not read is inert:
+        # the run exits 0 with the bytes of the run without it
+        outputs = []
+        for extra in ({}, unread):
+            cfgfile = tmp_path / "run.json"
+            cfgfile.write_text(json.dumps({"mode": mode, **extra}))
+            out = tmp_path / f"run{len(outputs)}.json"
+            assert run_cli(["gp", "--config", str(cfgfile), *grids, "--json",
+                            "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("argv", [
         ["pdist", "--gamma", "1"], ["pdist", "--theta0", "1"], ["decoherence", "--seed", "1"],
         ["decoherence", "--theta0", "4"], ["gp", "--seed", "1"], ["mc", "--theta0", "1"],

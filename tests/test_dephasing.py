@@ -80,7 +80,13 @@ class TestClosedForm:
             beta, err, route = beta_values(ts, c, 1e-10)
             assert route == METHOD_CLOSED
             for t, b, e in zip(ts, beta, err):
-                res = beta_quadrature(float(t), c)
+                try:
+                    res = beta_quadrature(float(t), c)
+                except ConvergenceError as exc:
+                    # n = 8 on FIG1 (gamma n! = 1.2e5) at t = 0.5-2: the panels'
+                    # rounding floor alone exceeds tol, so the call stalls at
+                    # 2.3-4.1e-10; its best estimate must still hold
+                    res = exc.result
                 assert abs(b - res.value) <= res.error + e, (params, t)
 
     def test_largest_ohmicity_at_huge_scales(self):
@@ -307,7 +313,7 @@ class TestTruncatedQuadrature:
     def greedy_edges(upper, hint, cap):
         # the panel-by-panel construction the closed-form grid replaces
         floor = upper / 8192.0
-        w0 = max(min(upper / 64.0, 3.0 * hint if hint else upper), floor)
+        w0 = max(min(upper / 32.0, 8.0 * hint if hint else upper), floor)
         edges = [0.0]
         while edges[-1] < upper:
             w = max(min(w0, cap(edges[-1])), floor)
@@ -323,16 +329,16 @@ class TestTruncatedQuadrature:
         hint = 2.0 * math.pi / rate
         widths = np.diff(edges)
         floor = upper / 8192.0
-        w0 = max(min(upper / 64.0, 3.0 * hint), floor)
-        # three local periods, 2 pi / (2 t + 4 lam a) each
-        cap = 3.0 * math.pi / (t + 2.0 * lam * edges[:-1])
+        w0 = max(min(upper / 32.0, 8.0 * hint), floor)
+        # eight local periods, 2 pi / (2 t + 4 lam a) each
+        cap = 8.0 * math.pi / (t + 2.0 * lam * edges[:-1])
         assert edges[0] == 0.0 and edges[-1] == upper
         assert np.all(widths > 0.0)
         assert np.all(widths <= w0 * (1.0 + 1e-12))
         # past the point where the cap falls below the floor, the floor rules
         assert np.all(widths <= np.maximum(cap, floor) * (1.0 + 1e-12))
         greedy = self.greedy_edges(
-            upper, hint, lambda a: 3.0 * math.pi / (t + 2.0 * lam * a))
+            upper, hint, lambda a: 8.0 * math.pi / (t + 2.0 * lam * a))
         assert len(edges) <= 1.05 * len(greedy) + 3
 
     def test_linear_grid_is_uniform_below_one_period(self):
@@ -343,10 +349,10 @@ class TestTruncatedQuadrature:
         assert np.allclose(widths[:-1], widths[0])
 
     @pytest.mark.parametrize("upper", [1e-300, 0.3, 40.0, 1e300])
-    def test_no_oscillation_gives_64_equal_panels(self, upper):
+    def test_no_oscillation_gives_equal_panels(self, upper):
         edges = _initial_edges(upper, 0.0, 0.0)
-        assert len(edges) == 65 and edges[0] == 0.0 and edges[-1] == upper
-        assert np.allclose(np.diff(edges), upper / 64.0, rtol=1e-12, atol=0.0)
+        assert len(edges) == 33 and edges[0] == 0.0 and edges[-1] == upper
+        assert np.allclose(np.diff(edges), upper / 32.0, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("params,t,rate,chirp", [
         (FIG2, 3.0, 4.0, 0.0),  # 2 |t - lam|
@@ -516,8 +522,9 @@ class TestQuadraticReference:
 
     @pytest.fixture(scope="class")
     def figure3(self):
-        """Figure 3's quadratures on its grid, for both ohmicities, and the
-        beta_integrand points they took in all: one run serves every test."""
+        """Figure 3's quadratures on its grid, for both ohmicities, the
+        beta_integrand points they took in all, and its calls (one per panel
+        evaluation): one run serves every test."""
         points = []
         integrand = dephasing.beta_integrand
         ts = grid_array((0.0, 10.0, 0.02))
@@ -526,7 +533,7 @@ class TestQuadraticReference:
                 points.append(len(w)) or integrand(w, t, c)))
             runs = {n: [(float(t), beta_quadrature(float(t), cfg(FIG3, ohmicity=n)))
                         for t in ts] for n in (1, 3)}
-        return runs, sum(points)
+        return runs, sum(points), len(points)
 
     @staticmethod
     def assert_within_error(runs, c):
@@ -555,11 +562,13 @@ class TestQuadraticReference:
 
     def test_figure3_point_budget(self, figure3):
         # the oscillating part alone, its tail taken to two integration-by-parts
-        # terms, three local periods per initial panel, split only where G10
-        # and K21 disagree: 1.84 M points (2.69 M with the one-term tail bound,
-        # 3.58 M for the whole bracket cut by its Gamma bound; 6.44 M with one
-        # period and G7/K15)
-        assert figure3[1] <= 1_950_000
+        # terms, eight local periods per initial panel, split only where G20
+        # and K41 disagree: 1.36 M points (1.84 M with three periods and
+        # G10/K21, 2.69 M with the one-term tail bound, 3.58 M for the whole
+        # bracket cut by its Gamma bound; 6.44 M with one period and G7/K15)
+        assert figure3[1] <= 1_400_000
+        # every call but the two at t = 0 converges on its initial partition
+        assert figure3[2] <= 1_000
 
     def test_readme_quotes_the_figure3_point_count(self, figure3):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -567,6 +576,9 @@ class TestQuadraticReference:
                            readme)
         assert quoted, "README no longer quotes figure 3's integrand points"
         assert int(quoted.group(1).replace(",", "")) == figure3[1]
+        evaluations = re.search(r"in\s+([\d,]+) panel evaluations", readme)
+        assert evaluations, "README no longer quotes figure 3's panel evaluations"
+        assert int(evaluations.group(1).replace(",", "")) == figure3[2]
 
 
 class TestTailBound:

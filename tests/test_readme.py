@@ -38,9 +38,10 @@ def test_readme_has_cli_examples():
 
 @pytest.mark.parametrize("line", COMMANDS)
 def test_cli_example_is_accepted(line):
-    # parsed and merged into a RunConfig, not run
+    # parsed, merged into a RunConfig and checked against the fields its run
+    # reads (a gp flag its mode does not read exits 2), not run
     args = cli.build_parser().parse_args(shlex.split(line)[1:])
     if args.command == "reproduce-figure":
         assert args.number in cli._FIGURES
     else:
-        cli.build_run_config(args)
+        cli._table_reads(cli.build_run_config(args), args)
